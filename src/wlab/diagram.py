@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import MeshError, RelationError
-from .geometry import CurvaturePair, ProfileCurve
-from .jets import mean_gauss
+from .geometry import CurvaturePair
+from .jets import h2_minus_k, mean_gauss
 from .relation import ScalarFunction
-from .solver import GraphPatch, jet_fields
 
 ZERO_TOL = 1.0e-13          # absolute tolerance for "exactly zero" curvature
 FIT_COND_LIMIT = 1.0e8      # quadric fits above this condition number are skipped
@@ -32,7 +31,7 @@ class CurvatureDiagram:
     """Multiset of ordered principal-curvature pairs with a provenance tag."""
 
     samples: np.ndarray                     # (N, 2), k1 >= k2 per row
-    source: str = "synthetic"               # patch | profile | mesh | synthetic
+    source: str = "synthetic"               # mesh | synthetic
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -49,23 +48,6 @@ class CurvatureDiagram:
 
     def save_csv(self, path):
         np.savetxt(path, self.samples, delimiter=",", header="k1,k2", comments="")
-
-    @staticmethod
-    def from_pairs(pairs: Sequence, source: str = "synthetic") -> "CurvatureDiagram":
-        rows = [(p.k1, p.k2) if isinstance(p, CurvaturePair) else (p[0], p[1]) for p in pairs]
-        return CurvatureDiagram(np.asarray(rows, dtype=float), source)
-
-    @staticmethod
-    def from_patch(patch: GraphPatch) -> "CurvatureDiagram":
-        p, q, r, s, t = jet_fields(patch)
-        keep = patch.interior_mask()
-        H, K = mean_gauss(p[keep], q[keep], r[keep], s[keep], t[keep])
-        root = np.sqrt(np.maximum(H * H - K, 0.0))
-        return CurvatureDiagram(np.column_stack([H + root, H - root]), "patch")
-
-    @staticmethod
-    def from_profile(profile: ProfileCurve) -> "CurvatureDiagram":
-        return CurvatureDiagram(np.column_stack([profile.kappa_m, profile.kappa_p]), "profile")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +358,7 @@ def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
             continue
         coef, *_ = np.linalg.lstsq(A, zn, rcond=None)
         H, K = mean_gauss(*coef)
-        root = math.sqrt(max(float(H * H - K), 0.0))
+        root = math.sqrt(float(h2_minus_k(H, K)))
         pairs.append((float(H) + root, float(H) - root))
     if not pairs:
         raise MeshError("no vertex produced a usable curvature fit")

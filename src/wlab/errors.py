@@ -6,7 +6,12 @@ class WlabError(Exception):
 
 
 class DomainError(WlabError):
-    """A scalar function was evaluated outside its domain."""
+    """A scalar function was evaluated outside its domain.  `index` is the
+    position of the first offending point in the evaluated array, when known."""
+
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class RelationError(WlabError):

@@ -251,8 +251,11 @@ def detect_period(profile: ProfileCurve, tol: float = 1e-4) -> Optional[float]:
     """First return time of (r, theta) to its initial value.
 
     Scans for a local minimum of the phase distance after the trajectory has
-    left the initial neighborhood, then refines it with a parabolic fit;
-    returns None when no return within `tol` is found.
+    left the initial neighborhood, then refines it with a parabolic fit.  A
+    minimum is a return when the fitted miss distance is below `tol` plus
+    half the phase distance travelled in one sample step: the fit's error
+    grows with the step and the phase speed, so a fixed tolerance rejects
+    true returns at coarse steps.  Returns None when no return is found.
     """
     d2 = (profile.r - profile.r[0]) ** 2 + (profile.theta - profile.theta[0]) ** 2
     leave = math.sqrt(float(np.max(d2))) * 0.25
@@ -269,7 +272,8 @@ def detect_period(profile: ProfileCurve, tol: float = 1e-4) -> Optional[float]:
             ds = profile.s[k + 1] - profile.s[k]
             s_star = profile.s[k] + shift * ds
             d_min = d2[k] - 0.25 * (d2[k - 1] - d2[k + 1]) * shift
-            if d_min < tol * tol:
+            step_travel = math.sqrt(max(den, 0.0) / 2.0)   # phase speed * step
+            if d_min < (tol + 0.5 * step_travel) ** 2:
                 return float(s_star)
             left = False  # spurious shallow minimum; keep scanning
     return None

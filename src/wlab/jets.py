@@ -1,12 +1,19 @@
 """Pointwise evaluation on second-order jets of a graph z = u(x, y).
 
 A jet (p, q, r, s, t) packs the first and second derivatives of u at a
-point.  This module evaluates mean and Gauss curvature of the graph there
-(upward unit normal), the residual of a Weingarten relation, its first
-derivatives, and the spectral quantities controlling uniform ellipticity:
-the eigenvalues of the quadratic form of (1+p^2+q^2)^2 * (H^2 - K) in
-(r, s, t), the quartic discriminant underneath them, and the minimum of the
-second-order symbol over a compact jet box.
+point.  This module holds the one curvature kernel every other module
+calls: the 9-point stencil that reads jets off a grid, mean and Gauss
+curvature of the graph there (upward unit normal), t = H^2 - K, g and g'
+at that t, the residual of a Weingarten relation and its first
+derivatives.  It also holds the spectral quantities controlling uniform
+ellipticity: the eigenvalues of the quadratic form of
+(1+p^2+q^2)^2 * (H^2 - K) in (r, s, t), the quartic discriminant underneath
+them, and the minimum of the second-order symbol over a compact jet box.
+
+Clamp rule: H^2 - K = ((k1 - k2)/2)^2 is never negative for a jet, so a
+negative value is roundoff, whose size scales with H^2 + |K|.  Every caller
+therefore uses t = max(H^2 - K, 0) (`h2_minus_k`); no absolute tolerance is
+involved, which keeps the residual closed under rescaling.
 """
 
 from __future__ import annotations
@@ -17,11 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import relation as rel_mod
 from .errors import DomainError, EllipticityError
-from .relation import RelationSpec, certify_ellipticity, f_to_g, g_function
+from .relation import DOMAIN_TOL, ClosedForm, RelationSpec, certify_ellipticity, g_of
 
-H2K_CLAMP = 1.0e-14      # negative roundoff of H^2-K tolerated at umbilics
 FD_SCALE = 1.0e-6        # central-difference step: FD_SCALE * (1 + |component|)
 FD_MATCH_RTOL = 1.0e-6   # analytic vs finite-difference agreement requirement
 DEFAULT_MU0 = 10.0       # default l1 radius of the compact jet box
@@ -45,17 +50,17 @@ class Jet2:
     def as_array(self) -> np.ndarray:
         return np.array([self.p, self.q, self.r, self.s, self.t], dtype=float)
 
-    @staticmethod
-    def from_array(a) -> "Jet2":
-        p, q, r, s, t = (float(v) for v in a)
-        return Jet2(p, q, r, s, t)
 
-    def to_json(self) -> list:
-        return [self.p, self.q, self.r, self.s, self.t]
-
-    @staticmethod
-    def from_json(arr) -> "Jet2":
-        return Jet2.from_array(arr)
+def stencil_jets(u: np.ndarray, h: float, iy: np.ndarray, ix: np.ndarray):
+    """(p, q, r, s, t) of the gridded function u (spacing h) at the nodes
+    (iy, ix), by centered differences on the 9-point stencil; every node
+    needs its 8 neighbours inside u."""
+    p = (u[iy, ix + 1] - u[iy, ix - 1]) / (2 * h)
+    q = (u[iy + 1, ix] - u[iy - 1, ix]) / (2 * h)
+    r = (u[iy, ix + 1] - 2 * u[iy, ix] + u[iy, ix - 1]) / h ** 2
+    t = (u[iy + 1, ix] - 2 * u[iy, ix] + u[iy - 1, ix]) / h ** 2
+    s = (u[iy + 1, ix + 1] - u[iy + 1, ix - 1] - u[iy - 1, ix + 1] + u[iy - 1, ix - 1]) / (4 * h ** 2)
+    return p, q, r, s, t
 
 
 def mean_gauss(p, q, r, s, t):
@@ -95,39 +100,46 @@ def jet_partials(p, q, r, s, t):
     return (H_p, H_q, H_r, H_s, H_t), (K_p, K_q, K_r, K_s, K_t)
 
 
-def clamp_h2k(value):
-    """Clamp tiny negative roundoff of H^2 - K to zero; larger negatives are a bug."""
-    v = np.asarray(value, dtype=float)
-    if np.any(v < -H2K_CLAMP):
-        worst = float(np.min(v))
-        raise ValueError(f"H^2 - K = {worst:.3e} is negative beyond roundoff")
-    return np.where(v < 0.0, 0.0, v)
+def h2_minus_k(H, K):
+    """t = H^2 - K clamped at 0 (see the module docstring); NaN passes through."""
+    return np.maximum(H * H - K, 0.0)
 
 
-def _g_of(rel: RelationSpec):
-    g = g_function(rel)
-    if g is None:
-        g = g_function(f_to_g(rel))
-    return g
+def g_at(g, H, K, derivative: bool = False):
+    """g(t), and g'(t) when `derivative` is set, at t = h2_minus_k(H, K).
+
+    NaN curvatures give NaN.  A t outside g's domain raises DomainError
+    whose `index` is the position of the first offender in H."""
+    t = np.asarray(h2_minus_k(H, K))
+    ok = ~np.isnan(t)
+    bad = ok & ~g.domain.contains(t, tol=DOMAIN_TOL)
+    if np.any(bad):
+        index = np.unravel_index(int(np.argmax(bad)), t.shape)
+        raise DomainError(f"relation domain violated: H^2-K = {float(t[index]):.6g}", index)
+
+    def at(fn):
+        out = np.full(t.shape, np.nan)
+        out[ok] = fn(t[ok])
+        return out
+
+    return (at(g), at(g.derivative)) if derivative else at(g)
 
 
 def residual_fields(g, p, q, r, s, t, with_gradient: bool = False):
     """Vectorized Weingarten residual H - g(H^2-K) and, optionally, its
     analytic gradient in the jet components.  `g` is a ScalarFunction."""
     H, K = mean_gauss(p, q, r, s, t)
-    tt = clamp_h2k(H * H - K)
-    F = H - np.asarray(g(tt), dtype=float)
     if not with_gradient:
-        return F
-    gp = np.asarray(g.derivative(tt), dtype=float)
+        return H - g_at(g, H, K)
+    gv, gp = g_at(g, H, K, derivative=True)
     dH, dK = jet_partials(p, q, r, s, t)
     grads = tuple(dH[i] - gp * (2.0 * H * dH[i] - dK[i]) for i in range(5))
-    return F, grads
+    return H - gv, grads
 
 
 def weingarten_residual(rel: RelationSpec, j: Jet2) -> float:
     """H - g(H^2-K) at the jet; zero iff the jet satisfies the relation."""
-    g = _g_of(rel)
+    g = g_of(rel)
     return float(residual_fields(g, j.p, j.q, j.r, j.s, j.t))
 
 
@@ -138,7 +150,7 @@ def residual_gradient(rel: RelationSpec, j: Jet2, method: str = "auto") -> np.nd
     with component-scaled step), or "auto" (analytic when g' is available,
     cross-checked against finite differences for closed forms).
     """
-    g = _g_of(rel)
+    g = g_of(rel)
     if method not in ("auto", "analytic", "fd"):
         raise ValueError(f"unknown gradient method {method!r}")
 
@@ -157,7 +169,7 @@ def residual_gradient(rel: RelationSpec, j: Jet2, method: str = "auto") -> np.nd
         return fd()
     _, grads = residual_fields(g, j.p, j.q, j.r, j.s, j.t, with_gradient=True)
     analytic = np.array([float(v) for v in grads])
-    if method == "auto" and isinstance(g, rel_mod.ClosedForm):
+    if method == "auto" and isinstance(g, ClosedForm):
         approx = fd()
         scale = 1.0 + np.abs(analytic)
         if np.max(np.abs(analytic - approx) / scale) > FD_MATCH_RTOL:
@@ -261,7 +273,7 @@ def uniform_ellipticity_lambda(rel: RelationSpec, box: Optional[ThetaBox] = None
     report = certify_ellipticity(rel)
     if report.uniform_constant_Lambda is None:
         raise EllipticityError("uniform_ellipticity_lambda needs a uniformly elliptic relation")
-    g = _g_of(rel)
+    g = g_of(rel)
     rng = np.random.default_rng(seed)
     jets = box.sample(sample_count, rng)
     # include the origin jet and a few axis-aligned corners for determinism
@@ -276,34 +288,3 @@ def uniform_ellipticity_lambda(rel: RelationSpec, box: Optional[ThetaBox] = None
             f"second-order symbol loses definiteness (min eigenvalue {lam:.3e}) "
             "for a relation certified uniformly elliptic")
     return lam
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Result of the sqrt(t)*|g'(t)| < 1/2 scan."""
-
-    ok: bool
-    worst_t: float
-    worst_value: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def derivative_bound_check(rel: RelationSpec, t_grid: Optional[np.ndarray] = None) -> BoundCheck:
-    """Check sqrt(t)*|g'(t)| < 1/2 on the certification grid (an equivalent
-    restatement of ellipticity).  Returns the worst offender either way."""
-    g = _g_of(rel)
-    if t_grid is None:
-        t_grid = rel_mod.default_t_grid()
-    ts = rel_mod._grid_in_domain(np.asarray(t_grid, dtype=float), g.domain)
-    try:
-        with np.errstate(invalid="ignore"):
-            vals = np.sqrt(ts) * np.abs(np.asarray(g.derivative(ts), dtype=float))
-    except DomainError as exc:
-        raise EllipticityError(f"derivative evaluation failed: {exc}") from exc
-    finite = np.isfinite(vals)
-    vals = np.where(finite, vals, 0.0)
-    worst = int(np.argmax(vals))
-    return BoundCheck(bool(vals[worst] < 0.5 and np.all(finite | (ts == 0.0))),
-                      float(ts[worst]), float(vals[worst]))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RelationError
-from .jets import mean_gauss
-from .relation import RelationSpec, g_function
+from .jets import g_at, mean_gauss
+from .relation import RelationSpec, g_of
 from .solver import GraphPatch, jet_fields
 
 DEFAULT_TAU = 1.0e-4
@@ -133,18 +133,16 @@ def parametrized_curvatures(X: np.ndarray):
     return H, K
 
 
-def variation_derivatives(patch: GraphPatch, phi: np.ndarray, tau_step: float = DEFAULT_TAU):
-    """(dH/dtau, dK/dtau) fields of the normal variation u + tau*phi*N by
-    centered differences in tau; NaN outside the doubly-interior region.
-
-    Raises when the varied surface stops being a graph (normal step too
-    large for the patch's curvature)."""
+def _varied_curvatures(patch: GraphPatch, phi: np.ndarray, tau_step: float) -> list:
+    """[(H, K) at +tau, (H, K) at -tau] of the normal variations
+    u +- tau*phi*N.  Raises when a varied surface stops being a graph
+    (normal step too large for the patch's curvature)."""
     p, q, _, _, _ = jet_fields(patch)
     W = np.sqrt(1.0 + p * p + q * q)
     X, Y = patch.xy()
     base = np.stack([X, Y, patch.values], axis=-1)
     normal = np.stack([-p / W, -q / W, 1.0 / W], axis=-1)
-    Hs, Ks = [], []
+    out = []
     for sign in (+1.0, -1.0):
         Xv = base + sign * tau_step * phi[..., None] * normal
         H, K = parametrized_curvatures(Xv)
@@ -152,37 +150,29 @@ def variation_derivatives(patch: GraphPatch, phi: np.ndarray, tau_step: float = 
             np.pad((Xv[:, 2:] - Xv[:, :-2]) * 0.5, ((0, 0), (1, 1), (0, 0)), constant_values=np.nan),
             np.pad((Xv[2:, :] - Xv[:-2, :]) * 0.5, ((1, 1), (0, 0), (0, 0)), constant_values=np.nan),
         )[..., 2]
-        valid = np.isfinite(H)
-        if np.any(valid & (nz <= 0.0)):
+        if np.any(np.isfinite(H) & (nz <= 0.0)):
             raise ValueError("normal variation leaves graph form; reduce tau_step")
-        Hs.append(H)
-        Ks.append(K)
-    dH = (Hs[0] - Hs[1]) / (2.0 * tau_step)
-    dK = (Ks[0] - Ks[1]) / (2.0 * tau_step)
-    return dH, dK
+        out.append((H, K))
+    return out
+
+
+def variation_derivatives(patch: GraphPatch, phi: np.ndarray, tau_step: float = DEFAULT_TAU):
+    """(dH/dtau, dK/dtau) fields of the normal variation u + tau*phi*N by
+    centered differences in tau; NaN outside the doubly-interior region.
+
+    Raises when the varied surface stops being a graph (normal step too
+    large for the patch's curvature)."""
+    (H1, K1), (H0, K0) = _varied_curvatures(patch, phi, tau_step)
+    return (H1 - H0) / (2.0 * tau_step), (K1 - K0) / (2.0 * tau_step)
 
 
 def weingarten_variation_rate(rel: RelationSpec, patch: GraphPatch, phi: np.ndarray,
                               tau_step: float = DEFAULT_TAU) -> np.ndarray:
     """Finite-difference rate of the residual under the normal variation:
     [W(tau) - W(-tau)]/(2 tau) with W(tau) = H(tau) - g(H(tau)^2 - K(tau))."""
-    g = g_function(rel)
-    if g is None:
-        raise RelationError("variation rate needs a relation in g form")
-    p, q, _, _, _ = jet_fields(patch)
-    W = np.sqrt(1.0 + p * p + q * q)
-    X, Y = patch.xy()
-    base = np.stack([X, Y, patch.values], axis=-1)
-    normal = np.stack([-p / W, -q / W, 1.0 / W], axis=-1)
-    vals = []
-    for sign in (+1.0, -1.0):
-        H, K = parametrized_curvatures(base + sign * tau_step * phi[..., None] * normal)
-        tt = np.where(np.isfinite(H), np.maximum(H * H - K, 0.0), np.nan)
-        out = np.full_like(H, np.nan)
-        ok = np.isfinite(tt)
-        out[ok] = H[ok] - np.asarray(g(tt[ok]), dtype=float)
-        vals.append(out)
-    return (vals[0] - vals[1]) / (2.0 * tau_step)
+    g = g_of(rel)
+    (H1, K1), (H0, K0) = _varied_curvatures(patch, phi, tau_step)
+    return ((H1 - g_at(g, H1, K1)) - (H0 - g_at(g, H0, K0))) / (2.0 * tau_step)
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +189,15 @@ class LinearizedCoeffs:
 
 
 def linearized_coeffs(rel: RelationSpec, H: float, K: float) -> LinearizedCoeffs:
-    g = g_function(rel)
-    if g is None:
-        raise RelationError("linearized coefficients need a relation in g form")
-    tt = max(H * H - K, 0.0)
-    gv = float(np.asarray(g(tt)))
-    gp = float(np.asarray(g.derivative(tt)))
+    gv, gp = (float(v) for v in g_at(g_of(rel), H, K, derivative=True))
     w = 1.0 - 2.0 * gv * gp
     return LinearizedCoeffs(0.5 * w, gp, 2.0 * gv * gv * w - (1.0 - 4.0 * gv * gp) * K)
 
 
 def apply_lg_on_grid(rel: RelationSpec, patch: GraphPatch, phi: np.ndarray) -> np.ndarray:
     """L_g[phi] with variable coefficients read from the patch's own jets."""
-    g = g_function(rel)
-    if g is None:
-        raise RelationError("apply_lg_on_grid needs a relation in g form")
-    p, q, r, s, t = jet_fields(patch)
-    H, K = mean_gauss(p, q, r, s, t)
-    tt = np.where(np.isfinite(H), np.maximum(H * H - K, 0.0), np.nan)
-    gv = np.full_like(patch.values, np.nan)
-    gp = np.full_like(patch.values, np.nan)
-    ok = np.isfinite(tt)
-    gv[ok] = np.asarray(g(tt[ok]), dtype=float)
-    gp[ok] = np.asarray(g.derivative(tt[ok]), dtype=float)
+    H, K = mean_gauss(*jet_fields(patch))
+    gv, gp = g_at(g_of(rel), H, K, derivative=True)
     w = 1.0 - 2.0 * gv * gp
     qcoef = 2.0 * gv * gv * w - (1.0 - 4.0 * gv * gp) * K
     with np.errstate(invalid="ignore"):
@@ -248,9 +224,7 @@ def cylinder_operator(rel: RelationSpec, r0: float) -> CylinderOperator:
     cylinder does not satisfy the relation (|g(H0^2) - H0| > 1e-10)."""
     if r0 <= 0.0:
         raise ValueError("cylinder radius must be positive")
-    g = g_function(rel)
-    if g is None:
-        raise RelationError("cylinder_operator needs a relation in g form")
+    g = g_of(rel)
     H0 = 1.0 / (2.0 * r0)
     gv = float(np.asarray(g(H0 * H0)))
     if abs(gv - H0) > 1e-10:

@@ -29,6 +29,7 @@ MONOTONE_MARGIN = 1.0e-12       # strict monotonicity margin for branch checks
 MINIMAL_TOL = 1.0e-10           # |g(0)| below this counts as minimal type
 UNIFORM_MARGIN = 1.0e-3         # sup 4t g'^2 <= 1 - margin to declare uniform
 _BOUNDED_TAIL_TOL = 0.05        # tail-flatness threshold for branch boundedness
+DOMAIN_TOL = 1.0e-12            # slack of the domain check on scalar-function arguments
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def _build_sqrt_offset(p):
 
 def _check_domain(domain: Interval, x, what: str):
     x = np.asarray(x, dtype=float)
-    ok = domain.contains(x, tol=1e-12)
+    ok = domain.contains(x, tol=DOMAIN_TOL)
     if not np.all(ok):
         bad = np.atleast_1d(x)[~np.atleast_1d(ok)]
         raise DomainError(
@@ -190,12 +191,6 @@ class SampledHermite:
         _check_domain(self.domain, x, "sampled function derivative")
         xc = np.clip(x, self.breakpoints[0], self.breakpoints[-1])
         return self._dspline(xc)
-
-    def second_derivative(self, x):
-        # finite differences of the stored first derivatives, per the C1 contract
-        _check_domain(self.domain, x, "sampled function second derivative")
-        d2 = np.gradient(self.derivatives, self.breakpoints)
-        return np.interp(x, self.breakpoints, d2)
 
     def to_json(self) -> dict:
         return {"kind": "hermite", "x": self.breakpoints.tolist(),
@@ -319,6 +314,13 @@ def g_function(rel: RelationSpec) -> Optional[ScalarFunction]:
     if isinstance(rel, GForm):
         return rel.g
     return None
+
+
+def g_of(rel: RelationSpec) -> ScalarFunction:
+    """The g of H = g(H^2-K) for any relation; f-form relations are
+    converted by sampling (`f_to_g`)."""
+    g = g_function(rel)
+    return f_to_g(rel).g if g is None else g
 
 
 def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:

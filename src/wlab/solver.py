@@ -26,9 +26,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .errors import DomainError, RelationError
-from .jets import mean_gauss, residual_fields
+from .jets import mean_gauss, residual_fields, stencil_jets
 from .relation import (CMC, ClosedForm, GForm, LinearWeingarten, RelationSpec,
-                       SampledHermite, g_function)
+                       SampledHermite, g_of)
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1.0e-4
@@ -202,6 +202,9 @@ class GraphPatch:
             "x0": self.x0, "y0": self.y0, "h": self.h, "shape": list(self.shape),
             "kind": self.kind, "disk": list(self.disk_spec) if self.disk_spec else None,
             "mask": ["".join("1" if v else "0" for v in row) for row in self.mask],
+            "tie_node": self.tie_node.tolist(), "tie_inner": self.tie_inner.tolist(),
+            "tie_tau": self.tie_tau.tolist(), "tie_len": self.tie_len.tolist(),
+            "tie_bc": self.tie_bc.tolist(),
         }
         with open(header_path, "w") as fh:
             json.dump(hdr, fh, sort_keys=True, indent=1)
@@ -214,23 +217,13 @@ class GraphPatch:
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         values = np.full(mask.shape, np.nan)
         values[mask] = data[:, 2]
-        patch = GraphPatch(hdr["x0"], hdr["y0"], hdr["h"], mask, values, hdr["kind"],
-                           tuple(hdr["disk"]) if hdr["disk"] else None)
-        if patch.kind == "disk":
-            # re-derive the interpolation ties; boundary data is read back
-            # from the stored cut-node values (tau ~ 0 nodes sit on the circle)
-            bc_vals = values.copy()
-            patch._build_disk_ties(lambda x, y: _nearest_value(bc_vals, patch, x, y))
-            patch.values = np.where(mask, values, np.nan)
-        return patch
-
-
-def _nearest_value(vals: np.ndarray, patch: GraphPatch, x, y):
-    ix = int(round((float(np.asarray(x)) - patch.x0) / patch.h))
-    iy = int(round((float(np.asarray(y)) - patch.y0) / patch.h))
-    iy = min(max(iy, 0), vals.shape[0] - 1)
-    ix = min(max(ix, 0), vals.shape[1] - 1)
-    return vals[iy, ix]
+        return GraphPatch(hdr["x0"], hdr["y0"], hdr["h"], mask, values, hdr["kind"],
+                          tuple(hdr["disk"]) if hdr["disk"] else None,
+                          np.asarray(hdr["tie_node"], dtype=int).reshape(-1, 2),
+                          np.asarray(hdr["tie_inner"], dtype=int).reshape(-1, 2),
+                          np.asarray(hdr["tie_tau"], dtype=float),
+                          np.asarray(hdr["tie_len"], dtype=float),
+                          np.asarray(hdr["tie_bc"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -239,64 +232,38 @@ def _nearest_value(vals: np.ndarray, patch: GraphPatch, x, y):
 
 def jet_fields(patch: GraphPatch):
     """(p, q, r, s, t) arrays at interior nodes, NaN elsewhere."""
-    u, h = patch.values, patch.h
-    ny, nx = u.shape
-    p = np.full_like(u, np.nan)
-    q = np.full_like(u, np.nan)
-    r = np.full_like(u, np.nan)
-    s = np.full_like(u, np.nan)
-    t = np.full_like(u, np.nan)
-    c = np.s_[1:-1, 1:-1]
-    E, W = np.s_[1:-1, 2:], np.s_[1:-1, :-2]
-    N, S = np.s_[2:, 1:-1], np.s_[:-2, 1:-1]
-    NE, NW = np.s_[2:, 2:], np.s_[2:, :-2]
-    SE, SW = np.s_[:-2, 2:], np.s_[:-2, :-2]
-    with np.errstate(invalid="ignore"):
-        p[c] = (u[E] - u[W]) / (2 * h)
-        q[c] = (u[N] - u[S]) / (2 * h)
-        r[c] = (u[E] - 2 * u[c] + u[W]) / h ** 2
-        t[c] = (u[N] - 2 * u[c] + u[S]) / h ** 2
-        s[c] = (u[NE] - u[NW] - u[SE] + u[SW]) / (4 * h ** 2)
-    keep = patch.interior_mask()
-    for a in (p, q, r, s, t):
-        a[~keep] = np.nan
-    return p, q, r, s, t
+    iy, ix = np.nonzero(patch.interior_mask())
+    out = np.full((5,) + patch.shape, np.nan)
+    out[:, iy, ix] = stencil_jets(patch.values, patch.h, iy, ix)
+    return tuple(out)
 
 
-def _relation_g(rel: RelationSpec):
-    g = g_function(rel)
-    if g is None:
-        from .relation import f_to_g
-        g = f_to_g(rel).g
-    return g
+def _interior_residual(g, values: np.ndarray, h: float, iy: np.ndarray, ix: np.ndarray,
+                       with_gradient: bool = False):
+    """Jets at the interior nodes (iy, ix) and the residual there (with its
+    jet gradient when asked).  A relation-domain violation names its node."""
+    jets = stencil_jets(values, h, iy, ix)
+    try:
+        return jets, residual_fields(g, *jets, with_gradient=with_gradient)
+    except DomainError as exc:
+        k = exc.index[0]
+        raise DomainError(f"{exc} at node (iy={iy[k]}, ix={ix[k]})") from None
 
 
 def residual_field(rel: RelationSpec, patch: GraphPatch) -> np.ndarray:
     """Weingarten residual at each interior node (NaN elsewhere)."""
-    g = _relation_g(rel)
-    p, q, r, s, t = jet_fields(patch)
-    keep = patch.interior_mask()
+    iy, ix = np.nonzero(patch.interior_mask())
     out = np.full_like(patch.values, np.nan)
-    H, K = mean_gauss(p[keep], q[keep], r[keep], s[keep], t[keep])
-    tt = H * H - K
-    tt = np.where((tt < 0.0) & (tt > -1e-14), 0.0, tt)
-    inside = g.domain.contains(tt, tol=1e-12)
-    if not np.all(inside):
-        node = np.argwhere(keep)[~inside][0]
-        raise DomainError(
-            f"relation domain violated at node (iy={node[0]}, ix={node[1]}): "
-            f"H^2-K = {tt[~inside][0]:.6g}")
-    out[keep] = H - np.asarray(g(tt), dtype=float)
+    _, out[iy, ix] = _interior_residual(g_of(rel), patch.values, patch.h, iy, ix)
     return out
 
 
 def second_fundamental_norm_field(patch: GraphPatch) -> np.ndarray:
     """|sigma| = sqrt(k1^2 + k2^2) = sqrt(4H^2 - 2K) per interior node."""
-    p, q, r, s, t = jet_fields(patch)
-    keep = patch.interior_mask()
+    iy, ix = np.nonzero(patch.interior_mask())
     out = np.full_like(patch.values, np.nan)
-    H, K = mean_gauss(p[keep], q[keep], r[keep], s[keep], t[keep])
-    out[keep] = np.sqrt(np.maximum(4.0 * H * H - 2.0 * K, 0.0))
+    H, K = mean_gauss(*stencil_jets(patch.values, patch.h, iy, ix))
+    out[iy, ix] = np.sqrt(np.maximum(4.0 * H * H - 2.0 * K, 0.0))
     return out
 
 
@@ -320,7 +287,7 @@ class _System:
     """Index maps and assembly for one patch + relation."""
 
     def __init__(self, rel: RelationSpec, patch: GraphPatch):
-        self.g = _relation_g(rel)
+        self.g = g_of(rel)
         self.patch = patch
         self.h = patch.h
         self.interior = patch.interior_mask()
@@ -350,16 +317,6 @@ class _System:
             out[self.tied[:, 0], self.tied[:, 1]] = z[self.n_int:]
         return out
 
-    def _jets_at_interior(self, values: np.ndarray):
-        u, h = values, self.h
-        iy, ix = self.iy, self.ix
-        p = (u[iy, ix + 1] - u[iy, ix - 1]) / (2 * h)
-        q = (u[iy + 1, ix] - u[iy - 1, ix]) / (2 * h)
-        r = (u[iy, ix + 1] - 2 * u[iy, ix] + u[iy, ix - 1]) / h ** 2
-        t = (u[iy + 1, ix] - 2 * u[iy, ix] + u[iy - 1, ix]) / h ** 2
-        s = (u[iy + 1, ix + 1] - u[iy + 1, ix - 1] - u[iy - 1, ix + 1] + u[iy - 1, ix - 1]) / (4 * h ** 2)
-        return p, q, r, s, t
-
     def residual(self, values: np.ndarray, with_gradient: bool = False):
         """Residual in two scalings.
 
@@ -369,8 +326,8 @@ class _System:
         quasilinear form whose Newton linearization stays well conditioned
         at steep slopes.  Both vanish together.
         """
-        p, q, r, s, t = self._jets_at_interior(values)
-        res = residual_fields(self.g, p, q, r, s, t, with_gradient=with_gradient)
+        (p, q, _, _, _), res = _interior_residual(self.g, values, self.h, self.iy, self.ix,
+                                                   with_gradient)
         F, grads = (res if with_gradient else (res, None))
         w3 = 2.0 * (1.0 + p * p + q * q) ** 1.5
         F_vec = np.empty(self.n)

@@ -212,6 +212,63 @@ class TestBlowup:
         assert report["selection"]["q_n"] == [16, 16]
 
 
+SCALED_CAP = {  # R*H0 = 0.7 at length scale 1e-4
+    "relation": {"kind": "cmc", "h0": 1e4},
+    "domain": {"type": "disk", "center": [0.0, 0.0], "radius": 0.7e-4},
+    "h": 0.7e-4 / 24.0, "tol_res": 1e-4, "max_iter": 30,
+}
+OVERWIDE_DISK = {  # R*H0 = 1.08: no cap exists
+    "relation": {"kind": "cmc", "h0": 1.08},
+    "domain": {"type": "disk", "center": [0.0, 0.0], "radius": 1.0},
+    "h": 1.0 / 24.0, "tol_res": 1e-9, "max_iter": 30,
+}
+TWO_SQRT_T = {"kind": "g", "function": {"kind": "closed", "name": "sqrt_offset",
+                                        "params": {"scale": 2.0, "offset": 0.0, "shift": 0.0},
+                                        "domain": [0.0, "inf"]}}
+RELOAD_SOLVE = dict(SOLVE_CFG, h=1.0 / 16.0)
+RELOAD_BLOWUP = {"center": [12, 19], "radius": 0.5}
+
+
+def reloaded_blowup_config(tmp_path):
+    code, solved = run(tmp_path, "solve", RELOAD_SOLVE, out="solved")
+    assert code == 0
+    return dict(RELOAD_BLOWUP, patch={"load": {"csv": str(solved / "solution.csv"),
+                                               "header": str(solved / "solution_header.json")}})
+
+
+def same_selection_as_in_process(outdir):
+    from wlab.relation import relation_from_json
+    from wlab.solver import GraphPatch, blowup_select, newton_solve
+    patch = GraphPatch.disk((0.0, 0.0), 1.0, RELOAD_SOLVE["h"])
+    out = newton_solve(relation_from_json(RELOAD_SOLVE["relation"]), patch,
+                       tol_res=RELOAD_SOLVE["tol_res"], max_iter=RELOAD_SOLVE["max_iter"])
+    sel = blowup_select(out.final_patch, tuple(RELOAD_BLOWUP["center"]), RELOAD_BLOWUP["radius"])
+    report = json.loads((outdir / "blowup_report.json").read_text())
+    assert report["selection"] == sel.to_json()
+
+
+# (command, config builder, exit code, check of the outputs)
+EXIT_CODES = {
+    "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
+    "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
+    "non_elliptic_certify": ("certify", lambda tmp: {"relation": TWO_SQRT_T}, 2, None),
+    "malformed_json": ("certify", lambda tmp: '{"relation": {"kind": "cmc" "h0": 1}}', 1, None),
+    "reloaded_blowup": ("blowup", reloaded_blowup_config, 0, same_selection_as_in_process),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_code_table(tmp_path, case):
+    command, make_config, expected, check = EXIT_CODES[case]
+    config = make_config(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(outdir)]) == expected
+    if check is not None:
+        check(outdir)
+
+
 class TestConfigHandling:
     def test_override_parses_json_scalars(self, tmp_path):
         code, outdir = run(tmp_path, "certify", {"relation": CMC_REL},

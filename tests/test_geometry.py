@@ -235,6 +235,16 @@ class TestPeriodDetection:
                                               step=5e-4, s_max=25.0))
         assert abs(T1 - T2) / T1 < 1e-3
 
+    def test_first_return_found_at_coarse_step(self):
+        # unduloids over H0 in [0.6, 1.5] x r0*H0 in [0.15, 0.35] at step 5e-3;
+        # s_max reaches just past the first return (pi/H0), not to the second
+        for h0 in np.linspace(0.6, 1.5, 19):
+            for neck in np.linspace(0.15, 0.35, 9):
+                prof = rotational_profile(CMC(h0), (neck / h0, 0.0, math.pi / 2), step=5e-3,
+                                          s_max=1.1 * math.pi / h0)
+                T = detect_period(prof)
+                assert T is not None and abs(T - math.pi / h0) < 1e-3, (h0, neck, T)
+
     def test_no_period_for_cylinder(self):
         prof = rotational_profile(CMC(0.5), (1.0, 0.0, math.pi / 2), step=1e-3, s_max=5.0)
         assert detect_period(prof) is None

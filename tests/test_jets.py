@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlab.errors import EllipticityError
-from wlab.jets import (BoundCheck, Jet2, ThetaBox, curvatures_of_jet, derivative_bound_check,
-                       h2k_eigenvalues, h2k_form_matrix, mean_gauss, q4, q4_rewritten,
-                       residual_gradient, uniform_ellipticity_lambda, weingarten_residual)
+from wlab.jets import (Jet2, ThetaBox, curvatures_of_jet, h2k_eigenvalues, h2k_form_matrix,
+                       mean_gauss, q4, q4_rewritten, residual_gradient,
+                       uniform_ellipticity_lambda, weingarten_residual)
 from wlab.relation import CMC, ClosedForm, GForm, LinearWeingarten
 
 
@@ -35,6 +37,33 @@ def hessian_oracle(p, q):
         for j in range(3):
             M[i, j] = 0.5 * (f(*(e[i] + e[j])) - f(*e[i]) - f(*e[j]) + f(0.0, 0.0, 0.0))
     return M
+
+
+radii = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+def sphere_jet(rho, a, b):
+    """Jet of the lower hemisphere of radius rho (H = 1/rho) at (rho*a, rho*b)."""
+    x, y = rho * a, rho * b
+    w = math.sqrt(rho * rho - x * x - y * y)
+    return Jet2(x / w, y / w, (rho * rho - y * y) / w ** 3, x * y / w ** 3,
+                (rho * rho - x * x) / w ** 3)
+
+
+def cylinder_jet(rho, a, angle):
+    """Jet of the lower half of the cylinder of radius rho (H = 1/(2 rho))
+    whose axis is horizontal and normal to (cos angle, sin angle), at
+    distance rho*a from the axis."""
+    xi = rho * a
+    w = math.sqrt(rho * rho - xi * xi)
+    c, s = math.cos(angle), math.sin(angle)
+    k = rho * rho / w ** 3
+    return Jet2(xi / w * c, xi / w * s, k * c * c, k * c * s, k * s * s)
+
+
+def linear_through(H, K, beta):
+    """Linear relation 2H + beta*K = delta satisfied at the state (H, K)."""
+    return LinearWeingarten(1.0, beta, 2.0 * H + beta * K)
 
 
 class TestCurvatures:
@@ -102,6 +131,22 @@ class TestResidual:
             g2 = residual_gradient(rel, Jet2(-p, q, r, -s, t))
             assert g1[0] == pytest.approx(-g2[0], rel=1e-9, abs=1e-12)
             assert g1[2] == pytest.approx(g2[2], rel=1e-9, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(radii, st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi), st.floats(0.1, 10.0))
+    def test_exact_sphere_jets_at_every_scale(self, rho, frac, angle, c):
+        jet = sphere_jet(rho, frac * math.cos(angle), frac * math.sin(angle))
+        H, K = 1.0 / rho, 1.0 / rho ** 2
+        for rel in (CMC(H), linear_through(H, K, c * rho)):
+            assert abs(weingarten_residual(rel, jet)) <= 1e-10 * H
+
+    @settings(derandomize=True, deadline=None)
+    @given(radii, st.floats(-0.9, 0.9), st.floats(0.0, 2.0 * math.pi), st.floats(0.1, 10.0))
+    def test_exact_cylinder_jets_at_every_scale(self, rho, frac, angle, c):
+        jet = cylinder_jet(rho, frac, angle)
+        H = 0.5 / rho
+        for rel in (CMC(H), linear_through(H, 0.0, c * rho)):
+            assert abs(weingarten_residual(rel, jet)) <= 1e-10 * H
 
     @pytest.mark.parametrize("rel", [
         CMC(1.0),
@@ -210,21 +255,3 @@ class TestUniformEllipticity:
         jets = box.sample(500, rng)
         assert np.all(jets[:, 0] ** 2 + jets[:, 1] ** 2 <= box.slope_bound + 1e-12)
         assert np.all(np.sum(np.abs(jets), axis=1) <= box.l1_bound + 1e-12)
-
-
-class TestDerivativeBound:
-    def test_cmc_true(self):
-        chk = derivative_bound_check(CMC(3.0))
-        assert chk and chk.worst_value == 0.0
-
-    def test_sqrt_true_with_sup_half(self):
-        chk = derivative_bound_check(LinearWeingarten(0.0, 1.0, 1.0))
-        assert bool(chk)
-        assert chk.worst_value == pytest.approx(0.5, abs=1e-4)
-
-    def test_two_sqrt_t_false(self):
-        chk = derivative_bound_check(GForm(ClosedForm(
-            "sqrt_offset", {"scale": 2.0, "offset": 0.0, "shift": 0.0})))
-        assert not chk
-        assert chk.worst_value == pytest.approx(1.0, abs=1e-12)
-        assert isinstance(chk, BoundCheck)

@@ -283,6 +283,22 @@ class TestRescaling:
         with pytest.raises(ValueError):
             rescale_patch(GraphPatch.rectangle((0, 1, 0, 1), 0.25), -1.0)
 
+    @pytest.mark.parametrize("width", [0.5, 0.7, 0.9])
+    def test_cap_solve_closed_under_rescaling(self, width):
+        # the cap with R*H0 = width on the h = R/24 grid, scaled by lam:
+        # H0 = 1/lam, R = width*lam, residual tolerance 1e-8/lam
+        steps, centers = [], []
+        for lam in (1.0, 1e-6, 1e-4, 1e-2, 1e4):
+            radius = width * lam
+            out = newton_solve(CMC(1.0 / lam), GraphPatch.disk((0.0, 0.0), radius, radius / 24),
+                               tol_res=1e-8 / lam, max_iter=30)
+            assert out.status == "converged", lam
+            ny, nx = out.final_patch.shape
+            steps.append(out.iterations)
+            centers.append(out.final_patch.values[ny // 2, nx // 2] / lam)
+        assert steps == [steps[0]] * len(steps)
+        assert np.allclose(centers, centers[0], rtol=1e-12, atol=0.0)
+
 
 class TestPatchIO:
     def test_save_load_roundtrip(self, tmp_path):
@@ -293,6 +309,26 @@ class TestPatchIO:
         assert back.h == out.final_patch.h
         assert np.array_equal(back.mask, out.final_patch.mask)
         assert np.allclose(back.values[back.mask], out.final_patch.values[out.final_patch.mask])
+
+    @pytest.mark.parametrize("kind", ["rectangle", "disk"])
+    @pytest.mark.parametrize("data", ["constant", "affine"])
+    def test_reload_resolves_in_zero_iterations(self, tmp_path, kind, data):
+        bc = 0.0 if data == "constant" else (lambda x, y: 0.1 + 0.2 * x - 0.3 * y)
+        if kind == "disk":
+            patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 32, boundary=bc)
+        else:
+            patch = GraphPatch.rectangle((-0.5, 0.5, -0.5, 0.5), 1 / 32, boundary=bc)
+        out = newton_solve(CMC(0.5), patch, tol_res=1e-10)
+        assert out.status == "converged"
+        csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
+        out.final_patch.save(csv, hdr)
+        back = GraphPatch.load(csv, hdr)
+        for name in ("tie_node", "tie_inner", "tie_tau", "tie_len", "tie_bc"):
+            assert np.array_equal(getattr(back, name), getattr(out.final_patch, name)), name
+        again = newton_solve(CMC(0.5), back, tol_res=1e-10)
+        assert again.status == "converged"
+        assert again.iterations == 0
+        assert np.array_equal(again.final_patch.values, out.final_patch.values, equal_nan=True)
 
     def test_jets_need_interior(self):
         patch = GraphPatch.rectangle((0, 1, 0, 1), 0.25)
