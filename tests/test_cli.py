@@ -225,6 +225,12 @@ OVERWIDE_DISK = {  # R*H0 = 1.08: no cap exists
 TWO_SQRT_T = {"kind": "g", "function": {"kind": "closed", "name": "sqrt_offset",
                                         "params": {"scale": 2.0, "offset": 0.0, "shift": 0.0},
                                         "domain": [0.0, "inf"]}}
+HERMITE_START = {  # g is sampled on [0, 0.1] only; the flat start violates it next to the rim
+    "relation": {"kind": "g", "function": {"kind": "hermite", "x": [0.0, 0.1],
+                                           "y": [0.0, 0.0], "dy": [0.0, 0.0]}},
+    "domain": {"type": "rectangle", "bounds": [0.0, 1.0, 0.0, 1.0]},
+    "h": 0.125, "boundary": 1.0, "init": 0.0,
+}
 RELOAD_SOLVE = dict(SOLVE_CFG, h=1.0 / 16.0)
 RELOAD_BLOWUP = {"center": [12, 19], "radius": 0.5}
 
@@ -247,10 +253,18 @@ def same_selection_as_in_process(outdir):
     assert report["selection"] == sel.to_json()
 
 
+def reports_domain_violation(outdir):
+    outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
+    assert outcome["status"] == "domain_violation"
+    assert outcome["iterations"] == 0 and outcome["history"] == []
+    assert outcome["residual_sup"] is None
+
+
 # (command, config builder, exit code, check of the outputs)
 EXIT_CODES = {
     "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
     "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
+    "domain_violation_at_start": ("solve", lambda tmp: HERMITE_START, 3, reports_domain_violation),
     "non_elliptic_certify": ("certify", lambda tmp: {"relation": TWO_SQRT_T}, 2, None),
     "malformed_json": ("certify", lambda tmp: '{"relation": {"kind": "cmc" "h0": 1}}', 1, None),
     "reloaded_blowup": ("blowup", reloaded_blowup_config, 0, same_selection_as_in_process),

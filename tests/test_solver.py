@@ -16,9 +16,13 @@ from wlab.errors import DomainError
 from wlab.relation import (CMC, ClosedForm, GForm, LinearWeingarten, SampledHermite,
                            certify_ellipticity, default_t_grid, g_function,
                            umbilical_constant)
+from scipy.sparse.linalg import spsolve as scipy_spsolve
+
+from wlab import solver
 from wlab.solver import (BlowupSelection, GraphPatch, blowup_select, intrinsic_distances,
-                         jet_fields, newton_solve, rescale_patch, rescale_relation,
-                         residual_field, second_fundamental_norm_field)
+                         jet_fields, nested_dissection, newton_solve, rescale_patch,
+                         rescale_relation, residual_field, second_fundamental_norm_field,
+                         spsolve)
 
 SQRT3_M2 = math.sqrt(3.0) - 2.0
 
@@ -92,6 +96,25 @@ class TestNewton:
         out = newton_solve(CMC(0.5), patch, tol_res=1e-8, max_iter=25)
         assert out.status != "converged"
 
+    def test_domain_violation_at_start_is_a_status(self):
+        g = SampledHermite(np.array([0.0, 0.1]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+        patch = GraphPatch.rectangle((0, 1, 0, 1), 1 / 8, boundary=1.0, init=0.0)
+        out = newton_solve(GForm(g), patch, tol_res=1e-10)
+        assert out.status == "domain_violation"
+        assert out.iterations == 0 and out.history == []
+        assert math.isnan(out.residual_sup)
+        assert np.array_equal(out.final_patch.values, patch.values)
+
+    def test_history_records_each_iteration(self):
+        out = solved_cap(1 / 32)
+        assert len(out.history) == out.iterations > 0
+        assert [rec["pivoted"] for rec in out.history] == [False] * out.iterations
+        assert out.history[-1]["residual_sup"] == out.residual_sup
+        for rec in out.history:
+            assert rec["residual_sup"] <= rec["residual_l2"]
+            assert rec["step_scale"] == 0.5 ** rec["backtracks"]
+        assert out.to_json()["history"] == out.history
+
     def test_fform_relation_usable(self):
         # solver accepts f-side input by converting internally
         from wlab.relation import FForm, f_function
@@ -101,6 +124,65 @@ class TestNewton:
         assert out.status == "converged"
         ny, nx = out.final_patch.shape
         assert out.final_patch.values[ny // 2, nx // 2] == pytest.approx(SQRT3_M2, rel=0.02)
+
+
+def _rectangle_nodes():
+    return np.nonzero(np.ones((40, 70), dtype=bool))
+
+
+def _disk_nodes():
+    patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 32)
+    assert patch.tie_node.shape[0] > 0
+    iy, ix = np.nonzero(patch.interior_mask())
+    return (np.concatenate([iy, patch.tie_node[:, 0]]),
+            np.concatenate([ix, patch.tie_node[:, 1]]))
+
+
+class TestLinearSolve:
+    @pytest.mark.parametrize("nodes", [_rectangle_nodes, _disk_nodes,
+                                       lambda: (np.array([3]), np.array([5]))])
+    def test_nested_dissection_is_a_permutation(self, nodes):
+        iy, ix = nodes()
+        order = nested_dissection(iy, ix)
+        assert np.array_equal(np.sort(order), np.arange(iy.size))
+
+    def test_rectangle_separator_comes_last(self):
+        # the first cut is the median column of the 40 x 70 node set
+        iy, ix = _rectangle_nodes()
+        last = nested_dissection(iy, ix)[-40:]
+        assert np.all(ix[last] == 35)
+        assert np.array_equal(np.sort(iy[last]), np.arange(40))
+
+    def test_matches_scipy_on_cap_jacobian(self):
+        patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 32)
+        system = solver._System(CMC(0.5), patch)
+        _, work, _, grads = system.residual(patch.values, with_gradient=True)
+        J = system.jacobian(grads)
+        x, pivoted = spsolve(J, -work, system.order)
+        ref = scipy_spsolve(J.tocsc(), -work)
+        assert not pivoted
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_zero_diagonal_is_solved(self):
+        # an off-diagonal 2 x 2 block: the given order has zero diagonal entries
+        J = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 4.0]]))
+        b = np.array([1.0, -2.0, 3.0])
+        x, _ = spsolve(J, b, np.arange(3))
+        assert np.allclose(x, [-2.0 / 3.0, 0.5, 0.75], rtol=1e-12, atol=0.0)
+
+    def test_tiny_pivot_takes_the_pivoted_fallback(self):
+        # unpivoted LU of [[1e-20, 1], [1, 1]] loses x[0] entirely
+        J = sp.csr_matrix(np.array([[1e-20, 1.0], [1.0, 1.0]]))
+        b = np.array([1.0, 2.0])
+        x, pivoted = spsolve(J, b, np.arange(2))
+        assert pivoted
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.allclose(x, [1.0, 1.0], rtol=1e-12, atol=0.0)
+
+    def test_singular_raises(self):
+        J = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(RuntimeError):
+            spsolve(J, np.ones(2), np.arange(2))
 
 
 class TestSigmaField:
