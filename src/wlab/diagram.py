@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshError, RelationError
 from .geometry import CurvaturePair
@@ -24,6 +25,7 @@ from .relation import ScalarFunction
 
 ZERO_TOL = 1.0e-13          # absolute tolerance for "exactly zero" curvature
 FIT_COND_LIMIT = 1.0e8      # quadric fits above this condition number are skipped
+FIT_BLOCK = 1024            # vertices per batched quadric fit; bounds the working arrays
 
 
 @dataclass
@@ -280,23 +282,30 @@ def load_obj(path) -> TriMesh:
 
 
 def _mesh_topology(mesh: TriMesh):
-    """Edge bookkeeping; raises on non-manifold or inconsistently oriented input."""
-    undirected, directed = {}, set()
-    for fi, (a, b, c) in enumerate(mesh.faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (u, v) in directed:
-                raise MeshError(f"inconsistent orientation at edge ({u}, {v})")
-            directed.add((u, v))
-            key = (min(u, v), max(u, v))
-            undirected.setdefault(key, []).append(fi)
-            if len(undirected[key]) > 2:
-                raise MeshError(f"non-manifold edge ({key[0]}, {key[1]})")
-    boundary_vertices = set()
-    for (u, v), fs in undirected.items():
-        if len(fs) == 1:
-            boundary_vertices.add(u)
-            boundary_vertices.add(v)
-    return boundary_vertices
+    """Boundary-vertex mask and vertex adjacency (CSR, symmetric) of the mesh.
+
+    Raises MeshError at the first directed edge, in face order, that an
+    earlier face already has: the mesh is inconsistently oriented there.
+    This also rejects every non-manifold edge, since the third face on an
+    edge repeats one of the two directions before it.
+    """
+    nv = len(mesh.vertices)
+    u = mesh.faces.ravel()
+    v = mesh.faces[:, [1, 2, 0]].ravel()
+    directed = u * nv + v
+    order = np.argsort(directed, kind="stable")
+    repeat = order[1:][directed[order[1:]] == directed[order[:-1]]]
+    if repeat.size:
+        e = int(repeat.min())
+        raise MeshError(f"inconsistent orientation at edge ({u[e]}, {v[e]})")
+    keys, counts = np.unique(np.minimum(u, v) * nv + np.maximum(u, v), return_counts=True)
+    boundary = np.zeros(nv, dtype=bool)
+    once = keys[counts == 1]
+    boundary[once // nv] = True
+    boundary[once % nv] = True
+    ends = (np.concatenate([u, v]), np.concatenate([v, u]))
+    adjacency = sp.csr_matrix((np.ones(2 * u.size), ends), shape=(nv, nv))
+    return boundary, adjacency
 
 
 def _vertex_normals(mesh: TriMesh) -> np.ndarray:
@@ -318,52 +327,56 @@ def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
     1e8 (or fewer than 5 usable neighbors) are skipped and counted in
     diagram.notes.  Curvature signs follow the mesh orientation: the normal
     defined by the face winding is the graph's upward axis.
+
+    The 2-rings are the off-diagonal nonzeros of A + A^2 for the vertex
+    adjacency A.  Vertices are fitted FIT_BLOCK at a time: each ring is
+    padded to the block's largest ring with copies of the vertex itself,
+    whose zero rows change neither the singular values nor the least-squares
+    solution, and one batched SVD per block serves both the condition check
+    and the solve.
     """
-    boundary = _mesh_topology(mesh)
+    boundary, adjacency = _mesh_topology(mesh)
     normals = _vertex_normals(mesh)
-    V, Fc = mesh.vertices, mesh.faces
+    V = mesh.vertices
     nv = len(V)
-    neighbors = [set() for _ in range(nv)]
-    for a, b, c in Fc:
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
+    rings = adjacency + adjacency @ adjacency
+    rings = (rings - sp.diags(rings.diagonal())).tocsr()
+    rings.eliminate_zeros()
+    sizes = np.diff(rings.indptr)
+    fit = ~boundary & (sizes >= 5)
+    skipped_degenerate = int(np.count_nonzero(~boundary & ~fit))
 
     pairs = []
-    skipped_degenerate = 0
-    for vi in range(nv):
-        if vi in boundary:
-            continue
-        ring = set(neighbors[vi])
-        for w in list(ring):
-            ring.update(neighbors[w])
-        ring.discard(vi)
-        ring = np.fromiter(ring, dtype=int)
-        if ring.size < 5:
-            skipped_degenerate += 1
-            continue
-        n = normals[vi]
-        ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    candidates = np.flatnonzero(fit)
+    for start in range(0, candidates.size, FIT_BLOCK):
+        block = candidates[start:start + FIT_BLOCK]
+        width = int(sizes[block].max())
+        slot = np.arange(width)
+        real = slot < sizes[block][:, None]
+        ring = np.repeat(block[:, None], width, axis=1)
+        ring[real] = rings.indices[(rings.indptr[block][:, None] + slot)[real]]
+        n = normals[block]
+        ref = np.where((np.abs(n[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         e1 = np.cross(n, ref)
-        e1 /= np.linalg.norm(e1)
+        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
         e2 = np.cross(n, e1)
-        d = V[ring] - V[vi]
-        x = d @ e1
-        y = d @ e2
-        zn = d @ n
-        A = np.column_stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y])
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= 0.0 or sv[0] / sv[-1] > FIT_COND_LIMIT:
-            skipped_degenerate += 1
-            continue
-        coef, *_ = np.linalg.lstsq(A, zn, rcond=None)
-        H, K = mean_gauss(*coef)
-        root = math.sqrt(float(h2_minus_k(H, K)))
-        pairs.append((float(H) + root, float(H) - root))
-    if not pairs:
+        d = V[ring] - V[block][:, None, :]
+        x, y, zn = np.einsum("bmk,bjk->jbm", d, np.stack([e1, e2, n], axis=1))
+        A = np.stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y], axis=-1)
+        U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (sv[:, -1] > 0.0) & (sv[:, 0] / sv[:, -1] <= FIT_COND_LIMIT)
+        skipped_degenerate += int(np.count_nonzero(~ok))
+        # least-squares solution V diag(1/s) U^T z
+        coef = np.einsum("bji,bj->bi", Vt[ok], np.einsum("bmj,bm->bj", U[ok], zn[ok]) / sv[ok])
+        H, K = mean_gauss(*coef.T)
+        root = np.sqrt(h2_minus_k(H, K))
+        pairs.append(np.column_stack([H + root, H - root]))
+    pairs = np.concatenate([np.empty((0, 2))] + pairs)
+    if not len(pairs):
         raise MeshError("no vertex produced a usable curvature fit")
-    return CurvatureDiagram(np.asarray(pairs), "mesh",
-                            {"skipped_boundary": len(boundary),
+    return CurvatureDiagram(pairs, "mesh",
+                            {"skipped_boundary": int(np.count_nonzero(boundary)),
                              "skipped_degenerate": skipped_degenerate,
                              "ignored_records": mesh.ignored_records,
                              "vertices": nv})

@@ -67,8 +67,9 @@ class ParallelParams:
     def t0(self) -> float:
         return 1.0 / self.a
 
-    def admissible(self, pairs) -> bool:
-        ks = np.asarray([[p.k1, p.k2] for p in pairs], dtype=float)
+    def admissible(self, ks) -> bool:
+        """Whether every curvature in the (N, 2) array `ks` keeps the margin."""
+        ks = np.asarray(ks, dtype=float)
         return bool(np.all(np.abs(ks - self.t0) >= self.epsilon))
 
 
@@ -195,52 +196,53 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
     """Integrate r' = cos(theta), z' = sin(theta), theta' = f(sin(theta)/r)
     by the classical fixed-step fourth-order scheme.
 
-    Stops at s_max, at axis contact (r < 1e-6), or when sin(theta)/r leaves
-    the domain of f; the truncated curve records the reason.
+    The state is held in Python floats, and each step's end-point evaluation
+    is reused as the next step's first stage, so n steps call f 4n + 1
+    times, once per stage.  Stops at s_max, at axis contact (r < 1e-6), or
+    when sin(theta)/r leaves the domain of f; the truncated curve records
+    the reason.
     """
     f = f_function(rel)
     if f is None:
         f = g_to_f(rel).f
     dom = f.domain
 
-    def rhs(state):
-        r, z, th = state
+    def rhs(r, th):
+        """(kappa_m, kappa_p) at the state; kappa_m is theta'."""
         if r < AXIS_RADIUS:
             raise _AxisContact()
         kp = math.sin(th) / r
         if not (dom.lo - 1e-12 <= kp <= dom.hi + 1e-12):
             raise DomainError(f"parallel curvature {kp:.6g} outside I_f")
-        km = float(np.asarray(f(kp)))
-        return np.array([math.cos(th), math.sin(th), km]), km, kp
+        return float(f(kp)), kp
 
-    r0, z0, th0 = (float(v) for v in seed)
-    state = np.array([r0, z0, th0])
+    r, z, th = (float(v) for v in seed)
     try:
-        _, km, kp = rhs(state)
+        km, kp = rhs(r, th)
     except (_AxisContact, DomainError) as exc:
         raise RelationError(f"profile seed is not integrable: {exc}") from exc
     n_steps = max(int(math.ceil(s_max / step)), 1)
-    out_s, out_state, out_km, out_kp = [0.0], [state.copy()], [km], [kp]
+    half, sixth = 0.5 * step, step / 6.0
+    out = [(0.0, r, z, th, km, kp)]
     reason = "s_max"
     try:
         for k in range(n_steps):
-            k1v, _, _ = rhs(state)
-            k2v, _, _ = rhs(state + 0.5 * step * k1v)
-            k3v, _, _ = rhs(state + 0.5 * step * k2v)
-            k4v, _, _ = rhs(state + step * k3v)
-            state = state + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            _, km, kp = rhs(state)
-            out_s.append((k + 1) * step)
-            out_state.append(state.copy())
-            out_km.append(km)
-            out_kp.append(kp)
+            t2 = th + half * km
+            m2, _ = rhs(r + half * math.cos(th), t2)
+            t3 = th + half * m2
+            m3, _ = rhs(r + half * math.cos(t2), t3)
+            t4 = th + step * m3
+            m4, _ = rhs(r + step * math.cos(t3), t4)
+            r = r + sixth * (math.cos(th) + 2.0 * math.cos(t2) + 2.0 * math.cos(t3) + math.cos(t4))
+            z = z + sixth * (math.sin(th) + 2.0 * math.sin(t2) + 2.0 * math.sin(t3) + math.sin(t4))
+            th = th + sixth * (km + 2.0 * m2 + 2.0 * m3 + m4)
+            km, kp = rhs(r, th)
+            out.append(((k + 1) * step, r, z, th, km, kp))
     except _AxisContact:
         reason = "axis_contact"
     except DomainError:
         reason = "domain_exit"
-    arr = np.asarray(out_state)
-    return ProfileCurve(np.asarray(out_s), arr[:, 0], arr[:, 1], arr[:, 2],
-                        np.asarray(out_km), np.asarray(out_kp), reason)
+    return ProfileCurve(*np.array(out).T, reason)
 
 
 class _AxisContact(Exception):
@@ -289,8 +291,7 @@ def offset_profile(profile: ProfileCurve, a: float,
     if params is not None:
         if abs(params.a - a) > 1e-15:
             raise RelationError("params.a disagrees with the offset distance")
-        pairs = [CurvaturePair(km, kp) for km, kp in zip(profile.kappa_m, profile.kappa_p)]
-        if not params.admissible(pairs):
+        if not params.admissible(np.column_stack([profile.kappa_m, profile.kappa_p])):
             raise DomainError("curvature samples violate the |k - t0| >= epsilon margin")
     den_m = 1.0 - a * profile.kappa_m
     den_p = 1.0 - a * profile.kappa_p

@@ -115,6 +115,8 @@ def _build_sqrt_offset(p):
 
 
 def _check_domain(domain: Interval, x, what: str):
+    if type(x) is float and domain.lo - DOMAIN_TOL <= x <= domain.hi + DOMAIN_TOL:
+        return
     x = np.asarray(x, dtype=float)
     ok = domain.contains(x, tol=DOMAIN_TOL)
     if not np.all(ok):

@@ -23,7 +23,6 @@ relations that leaves h invariant.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, RelationError
@@ -49,6 +49,8 @@ BACKWARD_ERROR_LIMIT = 1e-8  # relative |J x - b| / |b| accepted from the unpivo
 BoundaryData = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 _NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+# (dy, dx) of the 9-point stencil, in the order of the coefficients in _System.jacobian
+_STENCIL9 = [(0, 1), (0, -1), (1, 0), (-1, 0), (0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)]
 
 
 def _as_bc(bc: BoundaryData) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -376,6 +378,7 @@ class _System:
         self.n_int = n_int
         self.order = nested_dissection(np.concatenate([self.iy, self.tied[:, 0]]),
                                        np.concatenate([self.ix, self.tied[:, 1]]))
+        self._jacobian_pattern()
 
     def unknowns(self, values: np.ndarray) -> np.ndarray:
         z = np.empty(self.n)
@@ -427,43 +430,44 @@ class _System:
         return F_vec, work, slope, tuple(scaled)
 
     def jacobian(self, grads) -> sp.csr_matrix:
+        """The Jacobian of the work residual: the fixed pattern of
+        `_jacobian_pattern` filled with this step's stencil coefficients."""
         Fp, Fq, Fr, Fs, Ft = grads
         h = self.h
-        iy, ix = self.iy, self.ix
-        rows_idx = np.arange(self.n_int)
-        entries = [
-            (0, 1, Fp / (2 * h) + Fr / h ** 2),
-            (0, -1, -Fp / (2 * h) + Fr / h ** 2),
-            (1, 0, Fq / (2 * h) + Ft / h ** 2),
-            (-1, 0, -Fq / (2 * h) + Ft / h ** 2),
-            (0, 0, -2 * Fr / h ** 2 - 2 * Ft / h ** 2),
-            (1, 1, Fs / (4 * h ** 2)),
-            (-1, -1, Fs / (4 * h ** 2)),
-            (1, -1, -Fs / (4 * h ** 2)),
-            (-1, 1, -Fs / (4 * h ** 2)),
-        ]
-        rows, cols, vals = [], [], []
-        for dy, dx, coeff in entries:
-            col = self.index[iy + dy, ix + dx]
-            keep = col >= 0
-            rows.append(rows_idx[keep])
-            cols.append(col[keep])
-            vals.append(coeff[keep])
+        coeffs = (
+            Fp / (2 * h) + Fr / h ** 2,
+            -Fp / (2 * h) + Fr / h ** 2,
+            Fq / (2 * h) + Ft / h ** 2,
+            -Fq / (2 * h) + Ft / h ** 2,
+            -2 * Fr / h ** 2 - 2 * Ft / h ** 2,
+            Fs / (4 * h ** 2),
+            Fs / (4 * h ** 2),
+            -Fs / (4 * h ** 2),
+            -Fs / (4 * h ** 2),
+        )
+        vals = np.concatenate([np.stack(coeffs, axis=1)[self._keep], self._tie_vals])
+        return sp.csr_matrix((vals, self._indices, self._indptr), shape=(self.n, self.n))
+
+    def _jacobian_pattern(self):
+        """CSR structure of the Jacobian, fixed per system, with the columns
+        of each row in stencil order.  A row per interior node holds its
+        9-point stencil without the nodes that carry boundary data (the
+        `_keep` mask over (node, stencil entry)); a row per tie holds the
+        tied node and its inner node, with constant values `_tie_vals`."""
+        cols = np.stack([self.index[self.iy + dy, self.ix + dx] for dy, dx in _STENCIL9], axis=1)
+        self._keep = cols >= 0
         pt = self.patch
         n_tie = self.tied.shape[0]
-        if n_tie:
-            tie_rows = self.n_int + np.arange(n_tie)
-            rows.append(tie_rows)
-            cols.append(self.index[self.tied[:, 0], self.tied[:, 1]])
-            vals.append(np.ones(n_tie))
-            w = pt.tie_tau / (pt.tie_tau + pt.tie_len)
-            inner_col = self.index[pt.tie_inner[:, 0], pt.tie_inner[:, 1]]
-            keep = inner_col >= 0
-            rows.append(tie_rows[keep])
-            cols.append(inner_col[keep])
-            vals.append(-w[keep])
-        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(self.n, self.n))
+        tie_cols = np.column_stack([self.index[self.tied[:, 0], self.tied[:, 1]],
+                                    self.index[pt.tie_inner[:, 0], pt.tie_inner[:, 1]]])
+        tie_keep = tie_cols >= 0
+        w = pt.tie_tau / (pt.tie_tau + pt.tie_len)
+        self._tie_vals = np.column_stack([np.ones(n_tie), -w])[tie_keep]
+        # 32-bit indices, which scipy would pick anyway, so no step copies them
+        self._indices = np.concatenate([cols[self._keep], tie_cols[tie_keep]]).astype(np.int32)
+        counts = np.concatenate([self._keep.sum(axis=1), tie_keep.sum(axis=1)])
+        self._indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(counts, out=self._indptr[1:])
 
 
 def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = 1e-10,
@@ -542,38 +546,44 @@ def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = 1e-10,
 # Intrinsic distances and the blow-up h-function
 # ---------------------------------------------------------------------------
 
-def _edge_length(patch: GraphPatch, ay, ax, by, bx) -> float:
-    du = patch.values[by, bx] - patch.values[ay, ax]
-    return math.sqrt((patch.h * (bx - ax)) ** 2 + (patch.h * (by - ay)) ** 2 + du * du)
+def _offset_slices(dy: int, dx: int, ny: int, nx: int):
+    """Slices (a, b) of an (ny, nx) grid with b = a shifted by (dy, dx)."""
+    a = (slice(max(-dy, 0), ny - max(dy, 0)), slice(max(-dx, 0), nx - max(dx, 0)))
+    b = (slice(max(dy, 0), ny + min(dy, 0)), slice(max(dx, 0), nx + min(dx, 0)))
+    return a, b
 
 
 def intrinsic_distances(patch: GraphPatch, sources, within: Optional[np.ndarray] = None) -> np.ndarray:
-    """Multi-source Dijkstra over the 8-neighbor grid graph with induced-metric
-    secant edge lengths.  `sources` is an iterable of (iy, ix); `within`
-    optionally restricts traversal to a node set."""
+    """Multi-source intrinsic distance over the 8-neighbor grid graph.
+
+    An edge joins two allowed nodes (the patch mask, and `within` when
+    given) one grid step apart, and its length is the secant length
+    sqrt((h dx)^2 + (h dy)^2 + du^2) of the graph over it.  `sources` is an
+    iterable of (iy, ix); sources outside the allowed set are ignored.
+    Returns the distance of every node to its nearest source (scipy's
+    csgraph Dijkstra), inf where no source is reachable.
+    """
     ny, nx = patch.shape
     allowed = patch.mask if within is None else (patch.mask & within)
     dist = np.full((ny, nx), np.inf)
-    heap = []
-    for iy, ix in sources:
-        if not allowed[iy, ix]:
-            continue
-        dist[iy, ix] = 0.0
-        heap.append((0.0, iy * nx + ix))
-    heapq.heapify(heap)
-    while heap:
-        d, flat = heapq.heappop(heap)
-        iy, ix = divmod(flat, nx)
-        if d > dist[iy, ix]:
-            continue
-        for dy, dx in _NEIGHBORS8:
-            jy, jx = iy + dy, ix + dx
-            if not (0 <= jy < ny and 0 <= jx < nx) or not allowed[jy, jx]:
-                continue
-            nd = d + _edge_length(patch, iy, ix, jy, jx)
-            if nd < dist[jy, jx]:
-                dist[jy, jx] = nd
-                heapq.heappush(heap, (nd, jy * nx + jx))
+    src = np.asarray(sources, dtype=int).reshape(-1, 2)
+    src = src[allowed[src[:, 0], src[:, 1]]]
+    if src.size == 0:
+        return dist
+    n = np.count_nonzero(allowed)
+    node = np.full((ny, nx), -1)
+    node[allowed] = np.arange(n)
+    rows, cols, lengths = [], [], []
+    for dy, dx in _NEIGHBORS8:
+        a, b = _offset_slices(dy, dx, ny, nx)
+        both = allowed[a] & allowed[b]
+        du = patch.values[b][both] - patch.values[a][both]
+        rows.append(node[a][both])
+        cols.append(node[b][both])
+        lengths.append(np.sqrt((patch.h * dx) ** 2 + (patch.h * dy) ** 2 + du * du))
+    graph = sp.csr_matrix((np.concatenate(lengths), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n))
+    dist[allowed] = dijkstra(graph, indices=node[src[:, 0], src[:, 1]], min_only=True)
     return dist
 
 
@@ -607,20 +617,13 @@ def blowup_select(patch: GraphPatch, center: tuple, radius: float,
     if not np.any(in_disk):
         raise ValueError("intrinsic disk is empty")
 
-    bd = np.zeros_like(in_disk)
+    # disk nodes with a neighbor outside the disk, or on the patch mask edge
+    bd = in_disk & patch.boundary_mask()
     for dy, dx in _NEIGHBORS8:
-        shifted = np.zeros_like(in_disk)
-        ys = slice(max(dy, 0), ny + min(dy, 0))
-        yd = slice(max(-dy, 0), ny + min(-dy, 0))
-        xs = slice(max(dx, 0), nx + min(dx, 0))
-        xd = slice(max(-dx, 0), nx + min(-dx, 0))
-        shifted[yd, xd] = ~in_disk[ys, xs]
-        bd |= in_disk & shifted
-    # nodes on the patch mask edge also bound the disk
-    edge = in_disk & patch.boundary_mask()
-    bd |= edge
+        a, b = _offset_slices(dy, dx, ny, nx)
+        bd[a] |= in_disk[a] & ~in_disk[b]
 
-    d_bd = intrinsic_distances(patch, [tuple(n) for n in np.argwhere(bd)], within=in_disk)
+    d_bd = intrinsic_distances(patch, np.argwhere(bd), within=in_disk)
     sigma = second_fundamental_norm_field(patch) if sigma_field is None else np.asarray(sigma_field, dtype=float)
     with np.errstate(invalid="ignore"):
         hfun = np.where(in_disk & np.isfinite(sigma) & np.isfinite(d_bd), sigma * d_bd, -np.inf)

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cylinder_mesh, make_flat_mesh, make_icosphere, write_obj
-from wlab.diagram import (CurvatureDiagram, PhiRegion, QCReport, RegionCheck, TriMesh,
-                          beltrami_of_metric, gamma_mu, gamma_to_wedge, gauss_beltrami_ratio,
-                          load_obj, mesh_diagram, mu_gamma, qc_classify, region_membership)
+from wlab.diagram import (FIT_BLOCK, FIT_COND_LIMIT, CurvatureDiagram, PhiRegion, QCReport,
+                          RegionCheck, TriMesh, _vertex_normals, beltrami_of_metric, gamma_mu,
+                          gamma_to_wedge, gauss_beltrami_ratio, load_obj, mesh_diagram, mu_gamma,
+                          qc_classify, region_membership)
 from wlab.errors import MeshError, RelationError
 from wlab.geometry import CurvaturePair
+from wlab.jets import mean_gauss
 from wlab.relation import ClosedForm, GForm, Interval, SampledHermite, certify_ellipticity, g_to_f
 
 
@@ -362,6 +364,133 @@ class TestMeshes:
         F_bad = np.array([[0, 1, 2], [1, 2, 3]])   # edge (1,2) traversed twice same way
         with pytest.raises(MeshError, match="orientation"):
             mesh_diagram(TriMesh(V, F_bad))
+
+
+def quadric_graph_mesh(n, a, b, extent=0.5) -> TriMesh:
+    """The graph z = (a x^2 + b y^2)/2 over an n x n grid, upward winding."""
+    flat = make_flat_mesh(n, 2.0 * extent)
+    x, y = flat.vertices[:, 0] - extent, flat.vertices[:, 1] - extent
+    return TriMesh(np.column_stack([x, y, 0.5 * (a * x * x + b * y * y)]), flat.faces)
+
+
+def face_order_topology_error(faces):
+    """Message of the first bad edge in face order, or None: the edge
+    bookkeeping loop that the sorted-key check in _mesh_topology replaced."""
+    undirected, directed = {}, set()
+    for a, b, c in faces:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if (u, v) in directed:
+                return f"inconsistent orientation at edge ({u}, {v})"
+            directed.add((u, v))
+            key = (min(u, v), max(u, v))
+            undirected[key] = undirected.get(key, 0) + 1
+            if undirected[key] > 2:
+                return f"non-manifold edge ({key[0]}, {key[1]})"
+    return None
+
+
+def per_vertex_fits(mesh):
+    """Reference: the per-vertex quadric-fit loop that mesh_diagram replaced.
+    Returns (H, K) of each fitted vertex in vertex order and the number of
+    interior vertices skipped as degenerate."""
+    V, nv = mesh.vertices, len(mesh.vertices)
+    neighbors = [set() for _ in range(nv)]
+    edges = {}
+    for a, b, c in mesh.faces:
+        neighbors[a].update((b, c))
+        neighbors[b].update((a, c))
+        neighbors[c].update((a, b))
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges[min(u, v), max(u, v)] = edges.get((min(u, v), max(u, v)), 0) + 1
+    boundary = {w for key, count in edges.items() if count == 1 for w in key}
+    normals = _vertex_normals(mesh)
+    fits, skipped = [], 0
+    for vi in sorted(set(range(nv)) - boundary):
+        ring = set(neighbors[vi])
+        for w in list(ring):
+            ring.update(neighbors[w])
+        ring.discard(vi)
+        ring = np.fromiter(ring, dtype=int)
+        if ring.size < 5:
+            skipped += 1
+            continue
+        n = normals[vi]
+        ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        e1 = np.cross(n, ref)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n, e1)
+        d = V[ring] - V[vi]
+        x, y = d @ e1, d @ e2
+        A = np.column_stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y])
+        sv = np.linalg.svd(A, compute_uv=False)
+        if sv[-1] <= 0.0 or sv[0] / sv[-1] > FIT_COND_LIMIT:
+            skipped += 1
+            continue
+        fits.append(mean_gauss(*np.linalg.lstsq(A, d @ n, rcond=None)[0]))
+    return np.array(fits), skipped
+
+
+class TestBatchedFits:
+    def test_quadric_graph_over_several_blocks(self):
+        a, b = 1.2, -0.7
+        mesh = quadric_graph_mesh(49, a, b)
+        d = mesh_diagram(mesh)
+        assert d.notes["skipped_degenerate"] == 0
+        assert len(d) == 47 * 47 > 2 * FIT_BLOCK
+        grid = mesh.vertices[:, :2].reshape(49, 49, 2)[1:-1, 1:-1].reshape(-1, 2)
+        H, K = mean_gauss(a * grid[:, 0], b * grid[:, 1], a, 0.0, b)
+        root = np.sqrt(H * H - K)
+        err = np.max(np.abs(d.samples - np.column_stack([H + root, H - root])), axis=1)
+        err = err.reshape(47, 47)
+        # full 2-rings fit to O(h^2); rings cut by the boundary to O(h)
+        assert err[1:-1, 1:-1].max() < 2e-4
+        assert err.max() < 2e-2
+        # the vertex at the origin sees the quadric's own curvatures
+        np.testing.assert_allclose(d.samples[47 * 23 + 23], [a, b], rtol=1e-4)
+
+    @pytest.mark.parametrize("mesh", [make_icosphere(1.7, 3), quadric_graph_mesh(21, 2.0, -0.5),
+                                      make_cylinder_mesh(nth=24, nz=8)])
+    def test_agrees_with_the_per_vertex_loop(self, mesh):
+        d = mesh_diagram(mesh)
+        fits, skipped = per_vertex_fits(mesh)
+        H, K = fits.T
+        assert d.notes["skipped_degenerate"] == skipped
+        scale = H * H + np.abs(K)
+        np.testing.assert_allclose(d.samples.mean(axis=1), H, rtol=1e-12, atol=0)
+        assert np.max(np.abs(d.samples.prod(axis=1) - K) / scale) < 1e-12
+
+    def test_small_and_collinear_rings_are_counted(self):
+        grid = make_flat_mesh(12)
+        # a closed tetrahedron: every 2-ring has 3 vertices
+        tet_v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float) + 5.0
+        tet_f = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+        # a 5 x 5 grid squeezed to width 1e-10: its 9 interior rings are collinear
+        thin = make_flat_mesh(5)
+        thin_v = thin.vertices * [1.0, 1e-10, 1.0] + [0.0, 10.0, 0.0]
+        V = np.vstack([grid.vertices, tet_v, thin_v])
+        F = np.vstack([grid.faces, tet_f + 144, thin.faces + 148])
+        d = mesh_diagram(TriMesh(V, F))
+        assert d.notes["skipped_boundary"] == (4 * 12 - 4) + (4 * 5 - 4)
+        assert d.notes["skipped_degenerate"] == 4 + 9
+        assert len(d) == 10 * 10
+
+    def test_first_bad_edge_in_face_order(self):
+        V = np.zeros((8, 3))
+        # {0, 1} is on three faces; (2, 0) repeats a direction before (0, 1) does
+        F = np.array([[0, 1, 2], [2, 1, 3], [1, 0, 4], [2, 0, 5], [0, 1, 6], [1, 2, 7]])
+        assert face_order_topology_error(F) == "inconsistent orientation at edge (2, 0)"
+        with pytest.raises(MeshError, match=r"^inconsistent orientation at edge \(2, 0\)$"):
+            mesh_diagram(TriMesh(V, F))
+
+    def test_topology_errors_match_the_face_order_loop(self, rng):
+        for _ in range(200):
+            F = np.array([rng.choice(7, 3, replace=False) for _ in range(rng.integers(2, 12))])
+            expected = face_order_topology_error(F)
+            if expected is None:
+                continue
+            with pytest.raises(MeshError) as info:
+                mesh_diagram(TriMesh(rng.normal(size=(7, 3)), F))
+            assert str(info.value) == expected
 
 
 def test_report_json():

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import planar_curvature_5pt
+from wlab import geometry
 from wlab.errors import DomainError, RelationError
 from wlab.geometry import (CurvaturePair, ParallelParams, conjugate_relation, detect_period,
                            f_a, f_a_inverse, offset_profile, parallel_curvatures,
                            rotational_profile, angle_function)
-from wlab.relation import (CMC, ClosedForm, FForm, GForm, LinearWeingarten,
+from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
                            f_function, g_to_f)
 
 
@@ -79,8 +80,10 @@ class TestParallelCurvatures:
     def test_params_margin(self):
         params = ParallelParams(a=2.0, epsilon=0.2)
         assert params.t0 == 0.5
-        assert params.admissible([CurvaturePair(1.0, 0.0)])
-        assert not params.admissible([CurvaturePair(0.6, 0.0)])
+        assert params.admissible([[1.0, 0.0]])
+        assert not params.admissible([[0.6, 0.0]])
+        # the order of the two curvatures in a row does not matter
+        assert not params.admissible([[1.0, 0.0], [0.0, 0.6]])
 
 
 class TestConjugation:
@@ -142,6 +145,45 @@ class TestConjugation:
         assert float(np.asarray(f2(pair.k1))) == pytest.approx(pair.k2, abs=1e-12)
 
 
+class _Stop(Exception):
+    pass
+
+
+def rk4_reference(rel, seed, step, s_max):
+    """Reference: the RK4 loop with a numpy state and a fresh first stage
+    (5n + 1 calls of f) that rotational_profile replaced.  Same arithmetic,
+    so equal results.  Returns rows (s, r, z, theta, kappa_m, kappa_p)."""
+    f = f_function(rel)
+    if f is None:
+        f = g_to_f(rel).f
+
+    def rhs(state):
+        r, z, th = state
+        if r < 1e-6:
+            raise _Stop("axis_contact")
+        kp = math.sin(th) / r
+        if not (f.domain.lo - 1e-12 <= kp <= f.domain.hi + 1e-12):
+            raise _Stop("domain_exit")
+        km = float(np.asarray(f(kp)))
+        return np.array([math.cos(th), math.sin(th), km]), km, kp
+
+    state = np.array(seed, dtype=float)
+    _, km, kp = rhs(state)
+    rows, reason = [(0.0, *state, km, kp)], "s_max"
+    try:
+        for k in range(max(int(math.ceil(s_max / step)), 1)):
+            k1v, _, _ = rhs(state)
+            k2v, _, _ = rhs(state + 0.5 * step * k1v)
+            k3v, _, _ = rhs(state + 0.5 * step * k2v)
+            k4v, _, _ = rhs(state + step * k3v)
+            state = state + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            _, km, kp = rhs(state)
+            rows.append(((k + 1) * step, *state, km, kp))
+    except _Stop as stop:
+        reason = str(stop)
+    return np.array(rows), reason
+
+
 class TestRotationalProfiles:
     def test_sphere_circle_invariant(self):
         theta0 = 0.6
@@ -200,6 +242,44 @@ class TestRotationalProfiles:
         prof = rotational_profile(narrow, (1.9, 0.0, math.pi / 2), step=1e-3, s_max=5.0)
         assert prof.reason == "domain_exit"
         assert len(prof) > 1
+
+    @pytest.mark.parametrize("rel", [CMC(0.8), GForm(ClosedForm(
+        "sqrt_offset", {"scale": 0.4, "offset": 1.0, "shift": 0.1}))])
+    def test_four_f_calls_per_step(self, rel, monkeypatch):
+        calls = []
+
+        class Counted:
+            def __init__(self, f):
+                self.f, self.domain = f, f.domain
+
+            def __call__(self, x):
+                calls.append(x)
+                return self.f(x)
+
+        monkeypatch.setattr(geometry, "f_function",
+                            lambda r: None if f_function(r) is None else Counted(f_function(r)))
+        monkeypatch.setattr(geometry, "g_to_f", lambda r: FForm(Counted(g_to_f(r).f)))
+        prof = rotational_profile(rel, (0.6, 0.0, math.pi / 2), step=1e-2, s_max=1.5)
+        assert prof.reason == "s_max"
+        n = len(prof) - 1
+        assert n == 150
+        assert len(calls) == 4 * n + 1
+        assert all(type(x) is float for x in calls)
+
+    @pytest.mark.parametrize("rel, seed, s_max", [
+        (CMC(0.9), (0.25, 0.0, math.pi / 2), 4.0),                         # unduloid
+        (GForm(ClosedForm("sqrt_offset", {"scale": 0.45, "offset": 0.8, "shift": 0.05})),
+         (0.6, 0.0, math.pi / 2), 2.0),                                    # through g_to_f
+        (CMC(1.0), (math.sin(0.6), 0.0, 0.6), 3.0),                        # axis contact
+        (FForm(ClosedForm("affine", {"intercept": 1.0, "slope": -1.0},
+                          domain=Interval(0.45, 0.60))), (1.9, 0.0, math.pi / 2), 5.0),
+    ])
+    def test_equal_to_the_numpy_state_loop(self, rel, seed, s_max):
+        prof = rotational_profile(rel, seed, step=1e-3, s_max=s_max)
+        rows, reason = rk4_reference(rel, seed, 1e-3, s_max)
+        assert prof.reason == reason
+        got = np.column_stack([prof.s, prof.r, prof.z, prof.theta, prof.kappa_m, prof.kappa_p])
+        assert np.array_equal(got, rows)
 
     def test_bad_seed_rejected(self):
         with pytest.raises(RelationError):

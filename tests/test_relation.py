@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wlab.errors import DomainError, EllipticityError, RelationError
-from wlab.relation import (CMC, ClosedForm, FForm, FULL_LINE, GForm, Interval,
+from wlab.relation import (CMC, DOMAIN_TOL, ClosedForm, FForm, FULL_LINE, GForm, Interval,
                            LinearWeingarten, SampledHermite, certify_ellipticity,
                            default_t_grid, f_function, f_to_g, g_function, g_to_f,
                            relation_from_json, relation_to_json, umbilical_constant,
@@ -231,6 +231,13 @@ class TestScalarFunctions:
         f = f_function(LinearWeingarten(0.0, 1.0, 1.0))
         with pytest.raises(DomainError):
             f(-1.0)
+
+    def test_scalar_domain_check_keeps_its_tolerance_and_message(self):
+        f = ClosedForm("affine", {"intercept": 1.0, "slope": 2.0}, Interval(0.0, 1.0))
+        assert float(f(1.0 + 0.5 * DOMAIN_TOL)) == 1.0 + 2.0 * (1.0 + 0.5 * DOMAIN_TOL)
+        for bad in (1.0 + 2.0 * DOMAIN_TOL, -1.0, math.nan, np.float64(-1.0)):
+            with pytest.raises(DomainError, match="closed form 'affine' evaluated at"):
+                f(bad)
 
     def test_unknown_closed_form_rejected(self):
         with pytest.raises(RelationError):

@@ -4,6 +4,7 @@ The blow-up maximizer is checked against an exhaustive scan whose distances
 come from scipy's csgraph Dijkstra on an independently assembled sparse
 graph."""
 
+import heapq
 import math
 
 import numpy as np
@@ -163,6 +164,23 @@ class TestLinearSolve:
         assert not pivoted
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("patch", [
+        GraphPatch.disk((0.0, 0.0), 1.0, 1 / 16, boundary=lambda x, y: 0.3 * x,
+                        init=lambda x, y: 0.4 * (x * x + y * y) + 0.1 * x * y),
+        GraphPatch.rectangle((0, 1, 0, 0.75), 1 / 16, boundary=lambda x, y: 0.5 * x * y,
+                             init=lambda x, y: np.sin(2.0 * x) * y)])
+    def test_jacobian_is_the_derivative_of_the_work_residual(self, patch, rng):
+        system = solver._System(LinearWeingarten(1.0, 0.5, 1.0), patch)
+        _, _, _, grads = system.residual(patch.values, with_gradient=True)
+        J = system.jacobian(grads)
+        z, v, eps = system.unknowns(patch.values), rng.normal(size=system.n), 1e-6
+
+        def work(zz):
+            return system.residual(system.insert(patch.values, zz))[1]
+
+        fd = (work(z + eps * v) - work(z - eps * v)) / (2.0 * eps)
+        assert np.linalg.norm(J @ v - fd) <= 1e-7 * np.linalg.norm(fd)
+
     def test_zero_diagonal_is_solved(self):
         # an off-diagonal 2 x 2 block: the given order has zero diagonal entries
         J = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 4.0]]))
@@ -290,6 +308,105 @@ class TestBlowup:
         d = intrinsic_distances(patch, [(ny // 2, nx // 2)])
         assert d[ny // 2, nx // 2] == 0.0
         assert np.isfinite(d[patch.mask]).all()
+
+
+def octile(h, dy, dx):
+    """Shortest 8-neighbor path length on a flat grid of step h."""
+    lo, hi = np.minimum(np.abs(dy), np.abs(dx)), np.maximum(np.abs(dy), np.abs(dx))
+    return h * (hi + (math.sqrt(2.0) - 1.0) * lo)
+
+
+def heap_distances(patch, sources, within=None):
+    """Reference: the heap Dijkstra with per-edge Python arithmetic that
+    intrinsic_distances replaced.  Same edge lengths, so equal results."""
+    ny, nx = patch.shape
+    allowed = patch.mask if within is None else patch.mask & within
+    dist = np.full((ny, nx), np.inf)
+    heap = []
+    for iy, ix in sources:
+        if allowed[iy, ix]:
+            dist[iy, ix] = 0.0
+            heap.append((0.0, iy, ix))
+    heapq.heapify(heap)
+    while heap:
+        d, iy, ix = heapq.heappop(heap)
+        if d > dist[iy, ix]:
+            continue
+        for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+            jy, jx = iy + dy, ix + dx
+            if 0 <= jy < ny and 0 <= jx < nx and allowed[jy, jx]:
+                du = patch.values[jy, jx] - patch.values[iy, ix]
+                nd = d + math.sqrt((patch.h * dx) ** 2 + (patch.h * dy) ** 2 + du * du)
+                if nd < dist[jy, jx]:
+                    dist[jy, jx] = nd
+                    heapq.heappush(heap, (nd, jy, jx))
+    return dist
+
+
+class TestIntrinsicDistances:
+    def grid(self, patch):
+        return np.mgrid[0:patch.shape[0], 0:patch.shape[1]]
+
+    def test_flat_patch_is_octile(self):
+        patch = GraphPatch.rectangle((0, 1.25, 0, 0.75), 1 / 16)
+        Y, X = self.grid(patch)
+        d = intrinsic_distances(patch, [(5, 7)])
+        assert d[5, 7] == 0.0
+        np.testing.assert_allclose(d, octile(patch.h, Y - 5, X - 7), rtol=1e-14, atol=0)
+
+    def test_several_sources_give_the_nearest(self):
+        patch = GraphPatch.rectangle((0, 1.25, 0, 0.75), 1 / 16)
+        Y, X = self.grid(patch)
+        sources = [(0, 0), (12, 3), (4, 19)]
+        d = intrinsic_distances(patch, np.array(sources))
+        exact = np.min([octile(patch.h, Y - sy, X - sx) for sy, sx in sources], axis=0)
+        np.testing.assert_allclose(d, exact, rtol=1e-14, atol=0)
+
+    def test_wall_blocks_paths_and_outside_sources_are_ignored(self):
+        patch = GraphPatch.rectangle((0, 1, 0, 1), 1 / 16)
+        Y, X = self.grid(patch)
+        within = X != 8
+        d = intrinsic_distances(patch, [(8, 2), (3, 8)], within=within)
+        assert np.all(np.isinf(d[:, 8:]))
+        np.testing.assert_allclose(d[:, :8], octile(patch.h, Y - 8, X - 2)[:, :8],
+                                   rtol=1e-14, atol=0)
+        assert np.all(np.isinf(intrinsic_distances(patch, [(3, 8), (0, 8)], within=within)))
+
+    def test_equal_to_the_heap_loop(self):
+        patch = solved_cap(1 / 32).final_patch
+        ny, nx = patch.shape
+        center = [(ny // 2 - 3, nx // 2 + 4)]
+        d = intrinsic_distances(patch, center)
+        assert np.array_equal(d, heap_distances(patch, center))
+        within = d <= 0.45
+        sources = [tuple(n) for n in np.argwhere(within)[::23]] + [(0, 0), (ny // 2, 1)]
+        d = intrinsic_distances(patch, sources, within=within)
+        assert np.array_equal(d, heap_distances(patch, sources, within=within))
+
+    def test_cap_distances_satisfy_bellman(self):
+        patch = solved_cap(1 / 64).final_patch
+        ny, nx = patch.shape
+        d = intrinsic_distances(patch, [(ny // 2 + 5, nx // 2 - 9)])
+        finite = np.isfinite(d)
+        assert np.array_equal(finite, patch.mask)
+        best = np.full_like(d, np.inf)
+        pad_d = np.pad(d, 1, constant_values=np.inf)
+        pad_u = np.pad(patch.values, 1, constant_values=np.nan)
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy == dx == 0:
+                    continue
+                nb_d = pad_d[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx]
+                du = pad_u[1 + dy:1 + dy + ny, 1 + dx:1 + dx + nx] - patch.values
+                via = nb_d + np.sqrt((patch.h * dx) ** 2 + (patch.h * dy) ** 2 + du * du)
+                via = np.where(np.isfinite(via), via, np.inf)
+                # no neighbor offers a shorter route
+                assert np.all(d[finite] <= via[finite] * (1 + 1e-14))
+                best = np.minimum(best, via)
+        source = d == 0.0
+        assert np.count_nonzero(source) == 1
+        # and every other node is reached through one of them
+        np.testing.assert_allclose(d[finite & ~source], best[finite & ~source], rtol=1e-14, atol=0)
 
 
 class TestRescaling:
