@@ -30,7 +30,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, RelationError
@@ -563,6 +562,12 @@ def intrinsic_distances(patch: GraphPatch, sources, within: Optional[np.ndarray]
     Returns the distance of every node to its nearest source (scipy's
     csgraph Dijkstra), inf where no source is reachable.
     """
+    # Imported here, not with the module: only the blow-up path needs
+    # csgraph, and importing it in every process left `wlab solve` runs in
+    # one of two heap layouts, chosen at random per process, whose peak RSS
+    # differed by 4.5 MB.
+    from scipy.sparse.csgraph import dijkstra
+
     ny, nx = patch.shape
     allowed = patch.mask if within is None else (patch.mask & within)
     dist = np.full((ny, nx), np.inf)
