@@ -43,24 +43,27 @@ COMMANDS = ("certify", "solve", "revolve", "diagram", "parallel", "linop", "blow
 class ExperimentConfig:
     """One experiment: the command's parameter record plus run metadata."""
 
-    command: str
     params: dict
     out_dir: Path
     seed: int
     threads: int = field(default_factory=lambda: int(os.environ.get("WLAB_THREADS", "1")))
 
     def __post_init__(self):
+        if not isinstance(self.params, dict):
+            raise ValueError(f"a config must be a JSON object, got {self.params!r}")
         for key, value in self.params.items():
             if key.startswith("tol") and not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"tolerance {key!r} must be positive, got {value!r}")
 
-    def relation(self, key: str = "relation") -> RelationSpec:
-        if key not in self.params:
-            raise KeyError(f"config is missing {key!r}")
-        spec = self.params[key]
+    def relation(self) -> RelationSpec:
+        if "relation" not in self.params:
+            raise KeyError("config is missing 'relation'")
+        spec = self.params["relation"]
         if isinstance(spec, str):
             with open(spec) as fh:
                 spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"relation must be a JSON object or a path to one, got {spec!r}")
         return relation_from_json(spec)
 
     def write_summary(self, name: str, payload: dict):
@@ -118,9 +121,8 @@ def _boundary_data(spec):
 def _build_patch(cfg: ExperimentConfig) -> solver.GraphPatch:
     dom = cfg.params["domain"]
     h = float(cfg.params["h"])
-    bc = _boundary_data(cfg.params.get("boundary", cfg.params.get("boundary_value", 0.0)))
-    init = cfg.params.get("init", 0.0)
-    init = 0.0 if init == "zero" else float(init)
+    bc = _boundary_data(cfg.params.get("boundary", 0.0))
+    init = float(cfg.params.get("init", 0.0))
     if dom["type"] == "disk":
         return solver.GraphPatch.disk(tuple(dom.get("center", (0.0, 0.0))),
                                       float(dom["radius"]), h, boundary=bc, init=init)
@@ -129,12 +131,17 @@ def _build_patch(cfg: ExperimentConfig) -> solver.GraphPatch:
     raise ValueError(f"unknown domain type {dom.get('type')!r}")
 
 
-def _cmd_solve(cfg: ExperimentConfig) -> int:
+def _solve(cfg: ExperimentConfig):
+    """(relation, SolveOutcome) of the Dirichlet problem a solve config describes."""
     rel = cfg.relation()
-    patch = _build_patch(cfg)
-    outcome = solver.newton_solve(rel, patch,
+    outcome = solver.newton_solve(rel, _build_patch(cfg),
                                   tol_res=float(cfg.params.get("tol_res", 1e-8)),
                                   max_iter=int(cfg.params.get("max_iter", 40)))
+    return rel, outcome
+
+
+def _cmd_solve(cfg: ExperimentConfig) -> int:
+    rel, outcome = _solve(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     outcome.final_patch.save(cfg.out_dir / "solution.csv", cfg.out_dir / "solution_header.json")
     summary = {
@@ -161,7 +168,7 @@ def _cmd_revolve(cfg: ExperimentConfig) -> int:
                                           s_max=float(cfg.params.get("s_max", 10.0)))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     profile.save_csv(cfg.out_dir / "profile.csv")
-    period = geometry.detect_period(profile) if cfg.params.get("detect_period", True) else None
+    period = geometry.detect_period(profile)
     cfg.write_summary("revolve_report.json", {
         "check": "rotational_profile_generation",
         "relation": relation_to_json(rel),
@@ -243,12 +250,7 @@ def _cmd_blowup(cfg: ExperimentConfig) -> int:
     if "load" in spec:
         patch = solver.GraphPatch.load(spec["load"]["csv"], spec["load"]["header"])
     else:
-        sub = ExperimentConfig(cfg.command, spec["solve"], cfg.out_dir, cfg.seed)
-        rel = sub.relation()
-        patch = _build_patch(sub)
-        outcome = solver.newton_solve(rel, patch,
-                                      tol_res=float(spec["solve"].get("tol_res", 1e-8)),
-                                      max_iter=int(spec["solve"].get("max_iter", 40)))
+        _, outcome = _solve(ExperimentConfig(spec["solve"], cfg.out_dir, cfg.seed))
         if outcome.status != "converged":
             return EXIT_SOLVER
         patch = outcome.final_patch
@@ -263,8 +265,8 @@ def _cmd_blowup(cfg: ExperimentConfig) -> int:
     if center is None:
         ny, nx = patch.shape
         center = (ny // 2, nx // 2)
-    sel = solver.blowup_select(patch, tuple(int(v) for v in center),
-                               float(cfg.params["radius"]), sigma_field=sigma)
+    iy, ix = (int(v) for v in center)
+    sel = solver.blowup_select(patch, (iy, ix), float(cfg.params["radius"]), sigma_field=sigma)
     cfg.write_summary("blowup_report.json", {
         "check": "blowup_maximizer_selection",
         "selection": sel.to_json(),
@@ -300,15 +302,13 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             params = json.load(fh)
-        if not isinstance(params, dict):
-            raise ValueError("config root must be a JSON object")
         for item in args.overrides:
             key, _, raw = item.partition("=")
             if not _:
                 raise ValueError(f"override {item!r} is not KEY=VALUE")
             _set_override(params, key, raw)
-        cfg = ExperimentConfig(args.command, params, Path(args.out), args.seed)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        cfg = ExperimentConfig(params, Path(args.out), args.seed)
+    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"wlab: config error: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     except WlabError as exc:
         print(f"wlab: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"wlab: invalid parameter: {exc}", file=sys.stderr)
         return EXIT_IO
 

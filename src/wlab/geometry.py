@@ -74,17 +74,15 @@ class ParallelParams:
 
 
 def f_a(t, a: float):
-    """Mobius curvature transform t / (1 - a*t); pole at t = 1/a."""
+    """Mobius curvature transform t / (1 - a*t), inverse f_a(., -a); a t at
+    the pole raises DomainError whose `index` is the first offender in t."""
     t = np.asarray(t, dtype=float)
     den = 1.0 - a * t
-    if np.any(np.abs(den) <= POLE_GUARD * (1.0 + np.abs(a * t))):
-        raise DomainError(f"curvature transform pole: 1 - a*t vanishes (a={a})")
+    bad = np.abs(den) <= POLE_GUARD * (1.0 + np.abs(a * t))
+    if np.any(bad):
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise DomainError(f"curvature transform pole: 1 - a*t vanishes (a={a})", index)
     return t / den
-
-
-def f_a_inverse(t, a: float):
-    """Inverse of f_a, which is f_{-a}."""
-    return f_a(t, -a)
 
 
 def parallel_curvatures(pair: CurvaturePair, a: float):
@@ -93,10 +91,12 @@ def parallel_curvatures(pair: CurvaturePair, a: float):
     components."""
     out = []
     for name, k in (("k1", pair.k1), ("k2", pair.k2)):
+        try:
+            kt = float(f_a(k, a))
+        except DomainError:
+            raise DomainError(f"offset pole at principal curvature {name} = {k}") from None
         den = 1.0 - a * k
-        if abs(den) <= POLE_GUARD * (1.0 + abs(a * k)):
-            raise DomainError(f"offset pole at principal curvature {name} = {k}")
-        out.append((k / den, den * den))
+        out.append((kt, den * den))
     out.sort(key=lambda kv: -kv[0])
     new_pair = CurvaturePair(out[0][0], out[1][0])
     return new_pair, (out[0][1], out[1][1])
@@ -148,13 +148,11 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
         xs = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 2001)
     ys = np.asarray(f(xs), dtype=float)
     dys = np.asarray(f.derivative(xs), dtype=float)
-    ok = (np.abs(1.0 - a * xs) > POLE_GUARD * (1.0 + np.abs(a * xs))) & \
-         (np.abs(1.0 - a * ys) > POLE_GUARD * (1.0 + np.abs(a * ys)))
-    if not np.all(ok):
+    try:
+        xt, yt = f_a(np.column_stack([xs, ys]), a).T
+    except DomainError as exc:
         raise RelationError(
-            f"conjugation pole on the sampled domain near x = {xs[~ok][0]:.9g}")
-    xt = xs / (1.0 - a * xs)
-    yt = ys / (1.0 - a * ys)
+            f"conjugation pole on the sampled domain near x = {xs[exc.index[0]]:.9g}") from None
     # d/dx F_a(x) = 1/(1-a x)^2; chain rule along the parametrization by x
     dxt = 1.0 / (1.0 - a * xs) ** 2
     dyt = dys / (1.0 - a * ys) ** 2
@@ -293,18 +291,17 @@ def offset_profile(profile: ProfileCurve, a: float,
             raise RelationError("params.a disagrees with the offset distance")
         if not params.admissible(np.column_stack([profile.kappa_m, profile.kappa_p])):
             raise DomainError("curvature samples violate the |k - t0| >= epsilon margin")
-    den_m = 1.0 - a * profile.kappa_m
-    den_p = 1.0 - a * profile.kappa_p
-    if np.any(np.abs(den_m) <= POLE_GUARD) or np.any(np.abs(den_p) <= POLE_GUARD):
-        raise DomainError("offset pole along the profile")
+    try:
+        km, kp = f_a(profile.kappa_m, a), f_a(profile.kappa_p, a)
+    except DomainError:
+        raise DomainError("offset pole along the profile") from None
     r_new = profile.r - a * np.sin(profile.theta)
     z_new = profile.z + a * np.cos(profile.theta)
     # ds' = (1 - a*kappa_m) ds along the offset curve
     ds = np.diff(profile.s)
-    fac = den_m
+    fac = 1.0 - a * profile.kappa_m
     s_new = np.concatenate([[0.0], np.cumsum(0.5 * (fac[:-1] + fac[1:]) * ds)])
-    return ProfileCurve(s_new, r_new, z_new, profile.theta.copy(),
-                        profile.kappa_m / den_m, profile.kappa_p / den_p, profile.reason)
+    return ProfileCurve(s_new, r_new, z_new, profile.theta.copy(), km, kp, profile.reason)
 
 
 def angle_function(obj: Union[GraphPatch, ProfileCurve]):

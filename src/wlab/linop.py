@@ -104,10 +104,9 @@ def variation_rhs_fields(patch: GraphPatch, phi: np.ndarray):
 # Finite-difference variation path
 # ---------------------------------------------------------------------------
 
-def parametrized_curvatures(X: np.ndarray):
-    """(H, K) of a parametrized surface patch X[(iy, ix)] in R^3 by centered
-    differences; the normal is the (continuous) cross-product orientation.
-    Valid one ring inside the array; NaN elsewhere."""
+def _curvatures_and_normal(X: np.ndarray):
+    """(H, K, Xu x Xv) of the parametrized patch X by centered differences;
+    NaN on the outer ring."""
     Xu = np.full_like(X, np.nan)
     Xv = np.full_like(X, np.nan)
     Xuu = np.full_like(X, np.nan)
@@ -130,6 +129,14 @@ def parametrized_curvatures(X: np.ndarray):
         det = E * G - F * F
         H = (L * G - 2.0 * M * F + N * E) / (2.0 * det)
         K = (L * N - M * M) / det
+    return H, K, n
+
+
+def parametrized_curvatures(X: np.ndarray):
+    """(H, K) of a parametrized surface patch X[(iy, ix)] in R^3 by centered
+    differences; the normal is the (continuous) cross-product orientation.
+    Valid one ring inside the array; NaN elsewhere."""
+    H, K, _ = _curvatures_and_normal(X)
     return H, K
 
 
@@ -144,13 +151,8 @@ def _varied_curvatures(patch: GraphPatch, phi: np.ndarray, tau_step: float) -> l
     normal = np.stack([-p / W, -q / W, 1.0 / W], axis=-1)
     out = []
     for sign in (+1.0, -1.0):
-        Xv = base + sign * tau_step * phi[..., None] * normal
-        H, K = parametrized_curvatures(Xv)
-        nz = np.cross(
-            np.pad((Xv[:, 2:] - Xv[:, :-2]) * 0.5, ((0, 0), (1, 1), (0, 0)), constant_values=np.nan),
-            np.pad((Xv[2:, :] - Xv[:-2, :]) * 0.5, ((1, 1), (0, 0), (0, 0)), constant_values=np.nan),
-        )[..., 2]
-        if np.any(np.isfinite(H) & (nz <= 0.0)):
+        H, K, n = _curvatures_and_normal(base + sign * tau_step * phi[..., None] * normal)
+        if np.any(np.isfinite(H) & (n[..., 2] <= 0.0)):
             raise ValueError("normal variation leaves graph form; reduce tau_step")
         out.append((H, K))
     return out
@@ -181,27 +183,27 @@ def weingarten_variation_rate(rel: RelationSpec, patch: GraphPatch, phi: np.ndar
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
-    """Pointwise coefficients of L_g at curvature state (H, K)."""
+    """Pointwise coefficients of L_g at curvature state (H, K) (scalars or fields)."""
 
     principal_laplacian_weight: float    # (1 - 2 g g')/2
     t1_weight: float                     # g'
     zeroth_order_q: float                # 2 g^2 (1 - 2 g g') - (1 - 4 g g') K
 
 
-def linearized_coeffs(rel: RelationSpec, H: float, K: float) -> LinearizedCoeffs:
-    gv, gp = (float(v) for v in g_at(g_of(rel), H, K, derivative=True))
+def linearized_coeffs(rel: RelationSpec, H, K) -> LinearizedCoeffs:
+    """Coefficients of L_g at scalar or field (H, K); NaN passes through."""
+    # [()] turns g_at's 0-d arrays into scalars and leaves fields as they are
+    gv, gp = (v[()] for v in g_at(g_of(rel), H, K, derivative=True))
     w = 1.0 - 2.0 * gv * gp
     return LinearizedCoeffs(0.5 * w, gp, 2.0 * gv * gv * w - (1.0 - 4.0 * gv * gp) * K)
 
 
 def apply_lg_on_grid(rel: RelationSpec, patch: GraphPatch, phi: np.ndarray) -> np.ndarray:
     """L_g[phi] with variable coefficients read from the patch's own jets."""
-    H, K = mean_gauss(*jet_fields(patch))
-    gv, gp = g_at(g_of(rel), H, K, derivative=True)
-    w = 1.0 - 2.0 * gv * gp
-    qcoef = 2.0 * gv * gv * w - (1.0 - 4.0 * gv * gp) * K
+    c = linearized_coeffs(rel, *mean_gauss(*jet_fields(patch)))
     with np.errstate(invalid="ignore"):
-        return 0.5 * w * laplace_beltrami(patch, phi) + gp * div_t1_grad(patch, phi) + qcoef * phi
+        return (c.principal_laplacian_weight * laplace_beltrami(patch, phi)
+                + c.t1_weight * div_t1_grad(patch, phi) + c.zeroth_order_q * phi)
 
 
 @dataclass(frozen=True)

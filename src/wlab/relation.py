@@ -164,6 +164,7 @@ class SampledHermite:
     breakpoints: np.ndarray
     values: np.ndarray
     derivatives: np.ndarray
+    domain: Interval = field(init=False)
 
     def __post_init__(self):
         xs = np.asarray(self.breakpoints, dtype=float)
@@ -176,13 +177,10 @@ class SampledHermite:
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "values", ys)
         object.__setattr__(self, "derivatives", dys)
+        object.__setattr__(self, "domain", Interval(float(xs[0]), float(xs[-1])))
         spline = CubicHermiteSpline(xs, ys, dys, extrapolate=False)
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_dspline", spline.derivative())
-
-    @property
-    def domain(self) -> Interval:
-        return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
     def __call__(self, x):
         _check_domain(self.domain, x, "sampled function")
@@ -252,12 +250,6 @@ class LinearWeingarten:
     def discriminant(self) -> float:
         return self.alpha ** 2 + self.beta * self.delta
 
-    def fixed_point(self) -> float:
-        """Fixed point of f on the canonical component (the umbilical value)."""
-        if self.beta == 0.0:
-            return self.delta / (2.0 * self.alpha)
-        return (-self.alpha + math.sqrt(self.discriminant)) / self.beta
-
 
 @dataclass(frozen=True)
 class GForm:
@@ -301,8 +293,9 @@ def relation_from_json(obj: dict) -> RelationSpec:
     raise RelationError(f"unknown relation kind {kind!r}")
 
 
-def g_function(rel: RelationSpec) -> Optional[ScalarFunction]:
-    """The g of H = g(H^2-K), when it exists in closed form (FForm -> None)."""
+def g_of(rel: RelationSpec) -> ScalarFunction:
+    """The g of H = g(H^2-K) for any relation; f-form relations are
+    converted by sampling (`f_to_g`)."""
     if isinstance(rel, CMC):
         return ClosedForm("constant", {"value": rel.h0}, HALF_LINE)
     if isinstance(rel, LinearWeingarten):
@@ -315,14 +308,7 @@ def g_function(rel: RelationSpec) -> Optional[ScalarFunction]:
                           HALF_LINE)
     if isinstance(rel, GForm):
         return rel.g
-    return None
-
-
-def g_of(rel: RelationSpec) -> ScalarFunction:
-    """The g of H = g(H^2-K) for any relation; f-form relations are
-    converted by sampling (`f_to_g`)."""
-    g = g_function(rel)
-    return f_to_g(rel).g if g is None else g
+    return f_to_g(rel).g
 
 
 def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
@@ -406,15 +392,12 @@ def _classify_branches_g(g: ScalarFunction, t_hi: float) -> tuple:
         if g.name == "sqrt_offset":
             c = float(g.params["scale"])
             d = float(g.params["shift"])
-            e = float(g.params["offset"])
             if abs(abs(c) - 1.0) < 1e-14:
                 # c = +1: g - sqrt(t) -> d; c = -1: g + sqrt(t) -> d
                 if c > 0:
                     return "t_minus_g_bounded", Interval(d, math.inf)
                 return "t_plus_g_bounded", Interval(-math.inf, d)
-            if abs(c) < 1.0:
-                return "neither", FULL_LINE
-            return "neither", FULL_LINE  # |c| > 1 is not elliptic; branches diverge
+            return "neither", FULL_LINE  # both branches diverge (|c| > 1 is not elliptic)
     # sampled or unrecognized closed form: tail heuristic
     t_hi = min(t_hi, g.domain.hi if math.isfinite(g.domain.hi) else t_hi)
     minus_bounded = _branch_tail_bounded(lambda t: float(np.asarray(g(t))) - math.sqrt(t), t_hi)
@@ -455,8 +438,8 @@ def certify_ellipticity(rel: RelationSpec, t_grid: Optional[np.ndarray] = None, 
             raise EllipticityError("certification grid needs T_max > 0")
     grid_info = {"t_max": float(t_max), "n": int(np.asarray(t_grid).size)}
 
-    g = g_function(rel)
-    if g is not None:
+    if not isinstance(rel, FForm):
+        g = g_of(rel)
         ts = _grid_in_domain(t_grid, g.domain)
         try:
             dg = np.asarray(g.derivative(ts), dtype=float)
@@ -469,10 +452,10 @@ def certify_ellipticity(rel: RelationSpec, t_grid: Optional[np.ndarray] = None, 
             raise EllipticityError("no finite samples of 4 t g'(t)^2 on the grid")
         sup = float(np.max(su[finite]))
         is_elliptic = sup < 1.0 and bool(np.all(finite | (ts == 0.0)))
-        alpha_raw = float(np.asarray(g(0.0))) if g.domain.contains(0.0, tol=1e-12) else None
+        alpha_raw = _signed_umbilic(rel)
         bounded, If_dom = _classify_branches_g(g, float(ts[-1]) if ts[-1] > 0 else t_max)
     else:
-        f = f_function(rel)
+        f = rel.f
         xs = _fform_sample_grid(f, t_max, min(samples, 4000))
         try:
             df = np.asarray(f.derivative(xs), dtype=float)
@@ -486,7 +469,7 @@ def certify_ellipticity(rel: RelationSpec, t_grid: Optional[np.ndarray] = None, 
             u = (1.0 - m) / (1.0 + m)
         u = np.where(m > 0.0, u, 1.0)
         sup = float(np.max(u * u))
-        alpha_raw = _fform_fixed_point(f, xs, fx)
+        alpha_raw = _signed_umbilic(rel, xs, fx)
         bounded, If_dom = _classify_branches_f(f, xs, fx)
 
     minimal = alpha_raw is not None and abs(alpha_raw) <= MINIMAL_TOL
@@ -571,20 +554,13 @@ def _classify_branches_f(f: ScalarFunction, xs: np.ndarray, fx: np.ndarray) -> t
     # sampled function: the window edges are grid artifacts, so decide from
     # quarter-point tail flatness (sqrt-type growth moves O(sqrt(x)) there)
     feval = lambda x: float(np.asarray(f(x)))
-    lo_bounded = hi_bounded = False
-    a = b = 0.0
-    if xs[-1] > 1.0 and xs[0] < xs[-1] / 4.0:
-        v1, v2 = feval(xs[-1] / 4.0), feval(xs[-1])
-        if abs(v2 - v1) < max(_BOUNDED_TAIL_TOL, 1e-3 * abs(v2)):
-            lo_bounded, a = True, v2  # f -> a at +inf, so I_f is bounded below
-    if xs[0] < -1.0 and xs[-1] > xs[0] / 4.0:
-        v1, v2 = feval(xs[0] / 4.0), feval(xs[0])
-        if abs(v2 - v1) < max(_BOUNDED_TAIL_TOL, 1e-3 * abs(v2)):
-            hi_bounded, b = True, v2  # f -> b at -inf, so I_f is bounded above
+    # f -> a at +inf bounds I_f below; f -> b at -inf bounds it above
+    lo_bounded = xs[-1] > 1.0 and xs[0] < xs[-1] / 4.0 and _branch_tail_bounded(feval, xs[-1])
+    hi_bounded = xs[0] < -1.0 and xs[-1] > xs[0] / 4.0 and _branch_tail_bounded(feval, xs[0])
     if lo_bounded and not hi_bounded:
-        return "t_minus_g_bounded", Interval(a, math.inf)
+        return "t_minus_g_bounded", Interval(feval(xs[-1]), math.inf)
     if hi_bounded and not lo_bounded:
-        return "t_plus_g_bounded", Interval(-math.inf, b)
+        return "t_plus_g_bounded", Interval(-math.inf, feval(xs[0]))
     return "neither", FULL_LINE
 
 
@@ -599,9 +575,9 @@ def g_to_f(rel: RelationSpec, t_grid: Optional[np.ndarray] = None) -> FForm:
     g(t) +- sqrt(t)); ellipticity makes g(t) + sqrt(t) strictly increasing
     and g(t) - sqrt(t) strictly decreasing, which is verified here.
     """
-    g = g_function(rel)
-    if g is None:
+    if isinstance(rel, FForm):
         raise RelationError("g_to_f needs a relation with a g form")
+    g = g_of(rel)
     if t_grid is None:
         t_grid = default_t_grid()
     ts = _grid_in_domain(np.asarray(t_grid, dtype=float), g.domain)
@@ -681,23 +657,25 @@ def f_to_g(rel: RelationSpec, x_grid: Optional[np.ndarray] = None) -> GForm:
     return GForm(SampledHermite(ts, gs, dgs))
 
 
+def _signed_umbilic(rel: RelationSpec, xs: Optional[np.ndarray] = None,
+                    fx: Optional[np.ndarray] = None) -> Optional[float]:
+    """Signed umbilical value: g(0) (None off g's domain), or for f-form
+    relations the fixed point of f bracketed on the samples (xs, fx = f(xs))."""
+    if not isinstance(rel, FForm):
+        g = g_of(rel)
+        return float(np.asarray(g(0.0))) if g.domain.contains(0.0, tol=1e-12) else None
+    if xs is None:
+        xs = _fform_sample_grid(rel.f, DEFAULT_T_MAX, 4000)
+        fx = np.asarray(rel.f(xs), dtype=float)
+    return _fform_fixed_point(rel.f, xs, fx)
+
+
 def umbilical_constant(rel: RelationSpec) -> Optional[float]:
     """The value a with f(a) = a (equivalently g(0) = a), reported >= 0 per the
-    orientation convention; None when the fixed point is outside I_f."""
-    if isinstance(rel, CMC):
-        return abs(rel.h0)
-    if isinstance(rel, LinearWeingarten):
-        return abs(rel.fixed_point())
-    g = g_function(rel)
-    if g is not None:
-        if not g.domain.contains(0.0, tol=1e-12):
-            return None
-        return abs(float(np.asarray(g(0.0))))
-    f = f_function(rel)
-    xs = _fform_sample_grid(f, DEFAULT_T_MAX, 4000)
-    fx = np.asarray(f(xs), dtype=float)
-    root = _fform_fixed_point(f, xs, fx)
-    return None if root is None else abs(root)
+    orientation convention; None when the fixed point is outside I_f.  Equals
+    `certify_ellipticity(rel).umbilical_alpha` at the default grid."""
+    a = _signed_umbilic(rel)
+    return None if a is None else abs(a)
 
 
 def wedge_for_uniform_minimal(rel: RelationSpec, *, check_points: int = 512) -> tuple:

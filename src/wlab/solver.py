@@ -270,12 +270,9 @@ def residual_field(rel: RelationSpec, patch: GraphPatch) -> np.ndarray:
 
 
 def second_fundamental_norm_field(patch: GraphPatch) -> np.ndarray:
-    """|sigma| = sqrt(k1^2 + k2^2) = sqrt(4H^2 - 2K) per interior node."""
-    iy, ix = np.nonzero(patch.interior_mask())
-    out = np.full_like(patch.values, np.nan)
-    H, K = mean_gauss(*stencil_jets(patch.values, patch.h, iy, ix))
-    out[iy, ix] = np.sqrt(np.maximum(4.0 * H * H - 2.0 * K, 0.0))
-    return out
+    """|sigma| = sqrt(k1^2 + k2^2) = sqrt(4H^2 - 2K) per interior node (NaN elsewhere)."""
+    H, K = mean_gauss(*jet_fields(patch))
+    return np.sqrt(np.maximum(4.0 * H * H - 2.0 * K, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,13 @@ EXIT_CODES = {
     "non_elliptic_certify": ("certify", lambda tmp: {"relation": TWO_SQRT_T}, 2, None),
     "malformed_json": ("certify", lambda tmp: '{"relation": {"kind": "cmc" "h0": 1}}', 1, None),
     "reloaded_blowup": ("blowup", reloaded_blowup_config, 0, same_selection_as_in_process),
+    "null_step": ("solve", lambda tmp: dict(SOLVE_CFG, h=None), 1, None),
+    "scalar_domain": ("solve", lambda tmp: dict(SOLVE_CFG, domain=5), 1, None),
+    "list_relation": ("certify", lambda tmp: {"relation": [1, 2]}, 1, None),
+    "null_h0": ("certify", lambda tmp: {"relation": {"kind": "cmc", "h0": None}}, 1, None),
+    "scalar_patch_solve": ("blowup", lambda tmp: {"patch": {"solve": 5}, "radius": 0.5}, 1, None),
+    "empty_center": ("blowup", lambda tmp: {"patch": {"solve": dict(SOLVE_CFG, h=0.25)},
+                                            "center": {}, "radius": 0.5}, 1, None),
 }
 
 

@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from conftest import planar_curvature_5pt
 from wlab import geometry
 from wlab.errors import DomainError, RelationError
-from wlab.geometry import (CurvaturePair, ParallelParams, conjugate_relation, detect_period,
-                           f_a, f_a_inverse, offset_profile, parallel_curvatures,
+from wlab.geometry import (CurvaturePair, ParallelParams, ProfileCurve, conjugate_relation,
+                           detect_period, f_a, offset_profile, parallel_curvatures,
                            rotational_profile, angle_function)
 from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
                            f_function, g_to_f)
@@ -31,7 +31,7 @@ class TestMobiusTransform:
     def test_roundtrip(self, a, x):
         if abs(1.0 + a * x) < 1e-3 or abs(a * x) > 1e3:
             return
-        assert f_a(f_a_inverse(x, a), a) == pytest.approx(x, abs=1e-12, rel=1e-12)
+        assert f_a(f_a(x, -a), a) == pytest.approx(x, abs=1e-12, rel=1e-12)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
@@ -354,6 +354,32 @@ class TestOffsetProfile:
         params = ParallelParams(a=-4.0, epsilon=0.1)
         off = offset_profile(prof, -4.0, params=params)
         assert off.r[0] == pytest.approx(5.0)
+
+
+class TestPoleRule:
+    """offset_profile and parallel_curvatures reject exactly the curvatures
+    f_a rejects: |1 - a*k| <= POLE_GUARD * (1 + |a*k|)."""
+
+    @staticmethod
+    def rejects(fn, *args) -> bool:
+        try:
+            fn(*args)
+        except DomainError:
+            return True
+        return False
+
+    @pytest.mark.parametrize("a", [1.0, -2.5])
+    @pytest.mark.parametrize("gap", [0.0, 5e-10, 1.5e-9, -1.5e-9, 2.5e-9, 1e-6])
+    def test_same_rule_as_f_a(self, a, gap):
+        k = (1.0 - gap) / a          # 1 - a*k = gap up to roundoff, |a*k| ~ 1
+        expected = self.rejects(f_a, k, a)
+        assert expected == (abs(gap) < 2e-9)
+        for kappa_m, kappa_p in (([0.1, k], [0.2, 0.3]), ([0.1, 0.2], [k, 0.3])):
+            prof = ProfileCurve(np.array([0.0, 0.1]), np.array([1.0, 1.0]), np.zeros(2),
+                                np.full(2, math.pi / 2), np.array(kappa_m), np.array(kappa_p))
+            assert self.rejects(offset_profile, prof, a) == expected
+        assert self.rejects(parallel_curvatures, CurvaturePair(k, -3.0 / a), a) == expected
+        assert self.rejects(parallel_curvatures, CurvaturePair(5.0 / a, k), a) == expected
 
 
 class TestAngleFunction:

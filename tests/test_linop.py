@@ -214,14 +214,14 @@ class TestApplyLg:
         # ellipticity of the relation makes w0*g^{-1} + g'*(T1 g^{-1})
         # positive definite pointwise
         from wlab.jets import mean_gauss
-        from wlab.relation import g_function
+        from wlab.relation import g_of
         from wlab.solver import jet_fields
         patch = PATCH_MAKERS[name](48)
         p, q, r, s, t = jet_fields(patch)
         keep = np.isfinite(p)
         p, q, r, s, t = (a[keep] for a in (p, q, r, s, t))
         H, K = mean_gauss(p, q, r, s, t)
-        g = g_function(rel)
+        g = g_of(rel)
         tt = np.maximum(H * H - K, 0.0)
         gv, gp = np.asarray(g(tt)), np.asarray(g.derivative(tt))
         w0 = 0.5 * (1.0 - 2.0 * gv * gp)

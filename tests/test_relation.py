@@ -9,7 +9,7 @@ import pytest
 from wlab.errors import DomainError, EllipticityError, RelationError
 from wlab.relation import (CMC, DOMAIN_TOL, ClosedForm, FForm, FULL_LINE, GForm, Interval,
                            LinearWeingarten, SampledHermite, certify_ellipticity,
-                           default_t_grid, f_function, f_to_g, g_function, g_to_f,
+                           default_t_grid, f_function, f_to_g, g_of, g_to_f,
                            relation_from_json, relation_to_json, umbilical_constant,
                            wedge_for_uniform_minimal)
 
@@ -111,7 +111,7 @@ class TestConversions:
         sqrt_rel(scale=0.5, shift=-0.5), sqrt_rel(shift=-1.0),
     ])
     def test_elliptic_branches_strictly_monotone(self, rel):
-        g = g_function(rel)
+        g = g_of(rel)
         ts = np.concatenate([[0.0], np.logspace(-6, 4, 500)])
         gv = np.asarray(g(ts))
         up, dn = gv + np.sqrt(ts), gv - np.sqrt(ts)
@@ -138,7 +138,7 @@ class TestConversions:
         t_grid = np.concatenate([[0.0], np.logspace(-6, 3, 500)])
         ff = g_to_f(rel, t_grid)
         gb = f_to_g(ff, ff.f.breakpoints)
-        g_true = g_function(rel)
+        g_true = g_of(rel)
         ts = gb.g.breakpoints
         err = np.abs(np.asarray(gb.g(ts)) - np.asarray(g_true(ts)))
         assert np.max(err) < 1e-8
@@ -167,6 +167,24 @@ class TestUmbilical:
             lo = f.domain.lo
             xs = lo + np.logspace(-3, 2, 50)
             assert np.all(np.asarray(f.derivative(xs)) < 0.0)
+
+
+def umbilic_cases():
+    rng = np.random.default_rng(2024)
+    cases = [CMC(1.0), CMC(-0.75), CMC(0.0)]
+    for _ in range(200):
+        al, be = rng.uniform(-2, 2), rng.uniform(0.1, 2)
+        cases.append(LinearWeingarten(al, be, rng.uniform(-al * al / be + 0.1, 3.0)))
+    cases += [sqrt_rel(scale=0.5, shift=-0.5), f_to_g(MINIMAL_F),
+              MINIMAL_F, FForm(f_function(LinearWeingarten(0.0, 1.0, 1.0))),
+              g_to_f(LinearWeingarten(0.0, 1.0, 1.0))]
+    return cases
+
+
+def test_umbilical_constant_is_certified_alpha():
+    # one definition of the umbilical value: the certificate's, bit for bit
+    for rel in umbilic_cases():
+        assert umbilical_constant(rel) == certify_ellipticity(rel).umbilical_alpha, rel
 
 
 class TestWedge:
@@ -264,8 +282,8 @@ class TestSerialization:
         blob = json.dumps(relation_to_json(rel))
         back = relation_from_json(json.loads(blob))
         ts = np.linspace(0.0, 5.0, 11)
-        g1, g2 = g_function(rel), g_function(back)
-        if g1 is not None:
+        if not isinstance(rel, FForm):
+            g1, g2 = g_of(rel), g_of(back)
             assert np.allclose(np.asarray(g1(ts)), np.asarray(g2(ts)), atol=1e-14)
         else:
             xs = np.linspace(-2.0, 2.0, 11)

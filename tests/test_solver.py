@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 from conftest import cap_exact
 from wlab.errors import DomainError
 from wlab.relation import (CMC, ClosedForm, GForm, LinearWeingarten, SampledHermite,
-                           certify_ellipticity, default_t_grid, g_function,
+                           certify_ellipticity, default_t_grid, g_of,
                            umbilical_constant)
 from scipy.sparse.linalg import spsolve as scipy_spsolve
 
@@ -430,7 +430,7 @@ class TestRescaling:
             umbilical_constant(rel) / lam, rel=1e-12)
 
     def test_sampled_g_rescale(self):
-        base = g_function(CMC(1.0))
+        base = g_of(CMC(1.0))
         ts = np.linspace(0.0, 9.0, 10)
         rel = GForm(SampledHermite(ts, np.asarray(base(ts)), np.zeros_like(ts)))
         lam = 2.0
