@@ -1,13 +1,20 @@
 """Gridded graphs z = u(x, y) and the Dirichlet problem for the Weingarten
 graph PDE, solved by damped Newton iteration on a 9-point stencil.
 
-Each Newton step is one sparse LU solve.  The unknowns are eliminated in a
-geometric nested-dissection order of their grid nodes, computed once per
-solve, and SuperLU factors the Jacobian in that order without pivoting:
-this keeps about half the fill of a pivoted COLAMD factorization.  A
-factorization that is exactly singular, or whose step is not finite or has
-a relative backward error above 1e-8, is redone with SuperLU's COLAMD order
-and threshold partial pivoting.
+A converging solve factors its Jacobian once.  The first Newton step
+factors it with SuperLU: the unknowns are eliminated in a geometric
+nested-dissection order of their grid nodes, computed once per solve,
+without pivoting, which keeps about half the fill of a pivoted COLAMD
+factorization.  A factorization that is exactly singular, or whose step is
+not finite or has a relative backward error above 1e-8, is redone with
+SuperLU's COLAMD order and threshold partial pivoting.  The factor is then
+frozen: each later step solves J_k s = -F_k by GMRES preconditioned with it
+(an inexact Newton step, Kelley 2003; Eisenstat & Walker 1996), to the same
+relative backward error 1e-8, checked on J_k s + F_k after GMRES returns.
+A step that misses the check within three restart cycles of 20 is factored
+afresh, and so is the step after one that GMRES solved in more than 15
+iterations; the old factor is freed first.  The rule counts iterations and
+reads no clock, so reruns are identical.
 
 Rectangle domains carry Dirichlet values on the outer node ring.  Disk
 domains are masked out of a uniform grid; the in-domain ring next to the
@@ -30,7 +37,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DomainError, RelationError
 from .jets import mean_gauss, residual_fields, stencil_jets
@@ -43,7 +50,10 @@ MIN_STEP = 2.0 ** -20
 SLOPE_LIMIT = 1.0e6          # interior |Du| beyond this counts as divergence
 RESIDUAL_GROWTH_RUN = 5      # accepted steps with growing residual => diverged
 ND_LEAF = 64                 # nested dissection keeps node sets this small in given order
-BACKWARD_ERROR_LIMIT = 1e-8  # relative |J x - b| / |b| accepted from the unpivoted LU
+BACKWARD_ERROR_LIMIT = 1e-8  # relative |J x - b| / |b| every Newton step must meet
+KRYLOV_RESTART = 20          # GMRES restart length
+KRYLOV_CYCLES = 3            # GMRES restart cycles before the step is refactored
+KRYLOV_REFACTOR_ITERS = 15   # more GMRES iterations than this: factor the next Jacobian
 
 BoundaryData = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -290,8 +300,11 @@ class SolveOutcome:
     final_patch: GraphPatch
     # one record per Newton iteration: residual_sup and residual_l2 after the
     # step, the accepted step_scale (0 if none), the rejected trial steps
-    # (backtracks), the interior slope max |Du|, and whether the linear solve
-    # took the pivoted fallback
+    # (backtracks), the interior slope max |Du|, the GMRES iterations the
+    # linear solve ran (krylov_iters; 0 when it had no factor to reuse),
+    # whether the step factored its Jacobian (refactored), and whether the
+    # factor the step used, fresh or reused, is the pivoted COLAMD fallback
+    # (pivoted)
     history: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -329,28 +342,86 @@ def nested_dissection(iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def spsolve(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray):
-    """Solve J x = rhs for one Newton step; returns (x, pivoted).
+class Factor:
+    """A SuperLU factor of one Newton Jacobian J0, applied in the original
+    unknown numbering: `solve(b)` returns J0^-1 b.  `pivoted` marks the
+    COLAMD fallback; otherwise the factor is unpivoted in the elimination
+    order `order`."""
+
+    def __init__(self, lu, order: Optional[np.ndarray]):
+        self.lu = lu
+        self.order = order
+        self.pivoted = order is None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.pivoted:
+            return self.lu.solve(b)
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+    def release(self):
+        """Free the LU storage now, although callers still hold this object."""
+        self.lu = None
+
+
+def _solves_to_limit(J: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> bool:
+    # a non-finite x fails the comparison
+    return bool(np.linalg.norm(J @ x - rhs) <= BACKWARD_ERROR_LIMIT * np.linalg.norm(rhs))
+
+
+def _factor(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray):
+    """Factor J afresh and solve J x = rhs; returns (x, factor).
 
     SuperLU factors J with rows and columns in the elimination order `order`
     and the diagonal as pivot (it swaps rows only at an exactly zero
-    diagonal entry).  If that factorization is singular, or x is not finite
-    or |J x - rhs| > BACKWARD_ERROR_LIMIT |rhs|, J is factored again with
-    COLAMD and threshold partial pivoting, and pivoted is True.  Raises
-    RuntimeError when J is singular.
+    diagonal entry).  If that factorization is singular, or x misses
+    BACKWARD_ERROR_LIMIT, J is factored again with COLAMD and threshold
+    partial pivoting.  Raises RuntimeError when J is singular.
     """
     try:
-        lu = splu(J[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        factor = Factor(splu(J[order][:, order].tocsc(), permc_spec="NATURAL",
+                             diag_pivot_thresh=0.0, options={"SymmetricMode": True}), order)
     except RuntimeError:
         pass
     else:
-        x = np.empty_like(rhs)
-        x[order] = lu.solve(rhs[order])
-        # a non-finite x fails the comparison
-        if np.linalg.norm(J @ x - rhs) <= BACKWARD_ERROR_LIMIT * np.linalg.norm(rhs):
-            return x, False
-    return splu(J.tocsc()).solve(rhs), True
+        x = factor.solve(rhs)
+        if _solves_to_limit(J, x, rhs):
+            return x, factor
+        factor.release()
+    factor = Factor(splu(J.tocsc()), None)
+    return factor.solve(rhs), factor
+
+
+def spsolve(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray,
+            factor: Optional[Factor] = None):
+    """Solve J x = rhs for one Newton step to |J x - rhs| <= BACKWARD_ERROR_LIMIT
+    |rhs|; returns (x, factor, krylov_iters, refactored).
+
+    With a `factor` of an earlier Jacobian, x comes from GMRES (restart
+    KRYLOV_RESTART, at most KRYLOV_CYCLES cycles, relative tolerance
+    BACKWARD_ERROR_LIMIT) preconditioned by it, and krylov_iters counts its
+    iterations.  The bound is then checked on J x - rhs itself; a miss frees
+    the given factor (`Factor.release`) and J is factored afresh, as it is
+    when no factor is given, with an unpivoted nested-dissection LU and its
+    checked COLAMD fallback (`_factor`).  The factor returned is the one x
+    came from, and refactored says whether it is new.  Raises RuntimeError
+    when J must be factored and is singular.
+    """
+    krylov_iters = 0
+    if factor is not None:
+        def count(_):
+            nonlocal krylov_iters
+            krylov_iters += 1
+
+        M = LinearOperator(J.shape, matvec=factor.solve, dtype=float)
+        x, _ = gmres(J, rhs, rtol=BACKWARD_ERROR_LIMIT, restart=KRYLOV_RESTART,
+                     maxiter=KRYLOV_CYCLES, M=M, callback=count, callback_type="pr_norm")
+        if _solves_to_limit(J, x, rhs):
+            return x, factor, krylov_iters, False
+        factor.release()
+    x, factor = _factor(J, rhs, order)
+    return x, factor, krylov_iters, True
 
 
 class _System:
@@ -492,12 +563,16 @@ def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = 1e-10,
         return outcome("domain_violation", math.nan, 0)
     res_sup = np.max(np.abs(F_vec))
     growth = 0
+    factor, krylov_iters, refactored = None, 0, True
     for it in range(1, max_iter + 1):
         if res_sup <= tol_res:
             return outcome("converged", res_sup, it - 1)
+        if not refactored and krylov_iters > KRYLOV_REFACTOR_ITERS:
+            factor = None    # the only reference, so its LU is freed before the next
         try:
             _, _, _, grads = sys_.residual(values, with_gradient=True)
-            step, pivoted = spsolve(sys_.jacobian(grads), -work, sys_.order)
+            step, factor, krylov_iters, refactored = spsolve(sys_.jacobian(grads), -work,
+                                                             sys_.order, factor)
         except (RuntimeError, DomainError, ValueError):
             return outcome("line_search_failure", res_sup, it - 1)
         if not np.all(np.isfinite(step)):
@@ -524,7 +599,8 @@ def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = 1e-10,
         history.append({"residual_sup": float(np.max(np.abs(F_vec))),
                         "residual_l2": float(np.linalg.norm(F_vec)),
                         "step_scale": scale if accepted else 0.0, "backtracks": backtracks,
-                        "slope": slope, "pivoted": pivoted})
+                        "slope": slope, "pivoted": factor.pivoted,
+                        "krylov_iters": krylov_iters, "refactored": refactored})
         if not accepted:
             return outcome("line_search_failure", res_sup, it)
 

@@ -5,6 +5,7 @@ come from scipy's csgraph Dijkstra on an independently assembled sparse
 graph."""
 
 import heapq
+import json
 import math
 
 import numpy as np
@@ -114,7 +115,31 @@ class TestNewton:
         for rec in out.history:
             assert rec["residual_sup"] <= rec["residual_l2"]
             assert rec["step_scale"] == 0.5 ** rec["backtracks"]
+            assert isinstance(rec["krylov_iters"], int) and isinstance(rec["refactored"], bool)
         assert out.to_json()["history"] == out.history
+        assert json.loads(json.dumps(out.to_json()))["history"] == out.history
+
+    def test_cap_is_factored_once(self):
+        out = solved_cap(1 / 32)
+        assert [rec["refactored"] for rec in out.history] == [True] + [False] * (out.iterations - 1)
+        assert out.history[0]["krylov_iters"] == 0
+        assert all(0 < rec["krylov_iters"] <= solver.KRYLOV_REFACTOR_ITERS
+                   for rec in out.history[1:])
+
+    def test_step_after_one_over_the_krylov_budget_refactors(self):
+        # a stale factor far from any solution: some GMRES solves exceed the budget
+        out = newton_solve(CMC(1.08), GraphPatch.disk((0.0, 0.0), 1.0, 1 / 24), tol_res=1e-9,
+                           max_iter=30)
+        over = [k for k, rec in enumerate(out.history[:-1])
+                if not rec["refactored"] and rec["krylov_iters"] > solver.KRYLOV_REFACTOR_ITERS]
+        assert over
+        for k, rec in enumerate(out.history[1:], start=1):
+            prev = out.history[k - 1]
+            stale = not prev["refactored"] and prev["krylov_iters"] > solver.KRYLOV_REFACTOR_ITERS
+            if stale:
+                assert rec["refactored"] and rec["krylov_iters"] == 0
+            else:   # GMRES tried the factor first
+                assert rec["krylov_iters"] > 0
 
     def test_fform_relation_usable(self):
         # solver accepts f-side input by converting internally
@@ -159,10 +184,42 @@ class TestLinearSolve:
         system = solver._System(CMC(0.5), patch)
         _, work, _, grads = system.residual(patch.values, with_gradient=True)
         J = system.jacobian(grads)
-        x, pivoted = spsolve(J, -work, system.order)
+        x, factor, krylov_iters, refactored = spsolve(J, -work, system.order)
         ref = scipy_spsolve(J.tocsc(), -work)
-        assert not pivoted
+        assert refactored and krylov_iters == 0 and not factor.pivoted
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @staticmethod
+    def _cap_step_systems():
+        """The cap's Jacobian at the initial guess and after one Newton step,
+        with that step's right-hand side."""
+        patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 32)
+        system = solver._System(CMC(0.5), patch)
+        _, work, _, grads = system.residual(patch.values, with_gradient=True)
+        J0 = system.jacobian(grads)
+        step, *_ = spsolve(J0, -work, system.order)
+        values = system.insert(patch.values, system.unknowns(patch.values) + step)
+        _, work1, _, grads1 = system.residual(values, with_gradient=True)
+        return system, J0, system.jacobian(grads1), -work1
+
+    def test_reused_factor_meets_the_backward_error_bound(self):
+        system, J0, J1, b = self._cap_step_systems()
+        _, factor0, _, _ = spsolve(J0, np.ones(system.n), system.order)
+        x, factor, krylov_iters, refactored = spsolve(J1, b, system.order, factor0)
+        assert factor is factor0 and not refactored
+        assert 0 < krylov_iters <= solver.KRYLOV_REFACTOR_ITERS
+        assert np.linalg.norm(J1 @ x - b) <= solver.BACKWARD_ERROR_LIMIT * np.linalg.norm(b)
+        ref = scipy_spsolve(J1.tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_unrelated_factor_misses_and_is_refactored(self):
+        system, _, J1, b = self._cap_step_systems()
+        _, unrelated, _, _ = spsolve(sp.identity(system.n, format="csr"), np.ones(system.n),
+                                     system.order)
+        x, factor, krylov_iters, refactored = spsolve(J1, b, system.order, unrelated)
+        assert refactored and factor is not unrelated and unrelated.lu is None
+        assert krylov_iters == solver.KRYLOV_RESTART * solver.KRYLOV_CYCLES
+        assert np.linalg.norm(J1 @ x - b) <= solver.BACKWARD_ERROR_LIMIT * np.linalg.norm(b)
 
     @pytest.mark.parametrize("patch", [
         GraphPatch.disk((0.0, 0.0), 1.0, 1 / 16, boundary=lambda x, y: 0.3 * x,
@@ -185,15 +242,15 @@ class TestLinearSolve:
         # an off-diagonal 2 x 2 block: the given order has zero diagonal entries
         J = sp.csr_matrix(np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 4.0]]))
         b = np.array([1.0, -2.0, 3.0])
-        x, _ = spsolve(J, b, np.arange(3))
+        x, *_ = spsolve(J, b, np.arange(3))
         assert np.allclose(x, [-2.0 / 3.0, 0.5, 0.75], rtol=1e-12, atol=0.0)
 
     def test_tiny_pivot_takes_the_pivoted_fallback(self):
         # unpivoted LU of [[1e-20, 1], [1, 1]] loses x[0] entirely
         J = sp.csr_matrix(np.array([[1e-20, 1.0], [1.0, 1.0]]))
         b = np.array([1.0, 2.0])
-        x, pivoted = spsolve(J, b, np.arange(2))
-        assert pivoted
+        x, factor, _, _ = spsolve(J, b, np.arange(2))
+        assert factor.pivoted
         assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
         assert np.allclose(x, [1.0, 1.0], rtol=1e-12, atol=0.0)
 
