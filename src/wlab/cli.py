@@ -29,7 +29,8 @@ import numpy as np
 from . import diagram as diagram_mod
 from . import geometry, linop, solver
 from .errors import WlabError
-from .relation import RelationSpec, certify_ellipticity, relation_from_json, relation_to_json
+from .relation import (DEFAULT_SAMPLES, DEFAULT_T_MAX, RelationSpec, certify_ellipticity,
+                       relation_from_json, relation_to_json)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -98,8 +99,8 @@ def _set_override(tree: dict, dotted: str, raw: str):
 
 def _cmd_certify(cfg: ExperimentConfig) -> int:
     rel = cfg.relation()
-    report = certify_ellipticity(rel, t_max=float(cfg.params.get("t_max", 1e4)),
-                                 samples=int(cfg.params.get("samples", 10_000)))
+    report = certify_ellipticity(rel, t_max=float(cfg.params.get("t_max", DEFAULT_T_MAX)),
+                                 samples=int(cfg.params.get("samples", DEFAULT_SAMPLES)))
     cfg.write_summary("certify_report.json", {
         "check": "ellipticity_certification",
         "relation": relation_to_json(rel),
@@ -164,7 +165,7 @@ def _cmd_revolve(cfg: ExperimentConfig) -> int:
     rel = cfg.relation()
     seed_state = tuple(float(v) for v in cfg.params["seed_state"])
     profile = geometry.rotational_profile(rel, seed_state,
-                                          step=float(cfg.params.get("step", 1e-3)),
+                                          step=float(cfg.params.get("step", geometry.DEFAULT_STEP)),
                                           s_max=float(cfg.params.get("s_max", 10.0)))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     profile.save_csv(cfg.out_dir / "profile.csv")

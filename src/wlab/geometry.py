@@ -18,12 +18,13 @@ import numpy as np
 
 from .errors import DomainError, RelationError
 from .relation import (CMC, FForm, LinearWeingarten, RelationSpec, SampledHermite,
-                       f_function, g_to_f)
+                       _linear_coefficients, f_function, g_to_f)
 from .solver import GraphPatch, jet_fields
 
 POLE_GUARD = 1.0e-9
 AXIS_RADIUS = 1.0e-6
 DEFAULT_STEP = 1.0e-3
+PERIOD_TOL = 1.0e-4      # miss distance of a phase-space return in detect_period
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,6 @@ class CurvaturePair:
             hi, lo = self.k2, self.k1
             object.__setattr__(self, "k1", hi)
             object.__setattr__(self, "k2", lo)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.k1 + self.k2)
-
-    @property
-    def gauss(self) -> float:
-        return self.k1 * self.k2
 
 
 @dataclass(frozen=True)
@@ -100,14 +93,6 @@ def parallel_curvatures(pair: CurvaturePair, a: float):
     out.sort(key=lambda kv: -kv[0])
     new_pair = CurvaturePair(out[0][0], out[1][0])
     return new_pair, (out[0][1], out[1][1])
-
-
-def _linear_coefficients(rel: RelationSpec):
-    if isinstance(rel, CMC):
-        return 1.0, 0.0, 2.0 * rel.h0
-    if isinstance(rel, LinearWeingarten):
-        return rel.alpha, rel.beta, rel.delta
-    return None
 
 
 def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
@@ -203,15 +188,13 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
     f = f_function(rel)
     if f is None:
         f = g_to_f(rel).f
-    dom = f.domain
 
     def rhs(r, th):
-        """(kappa_m, kappa_p) at the state; kappa_m is theta'."""
+        """(kappa_m, kappa_p) at the state; kappa_m is theta'.  A kappa_p
+        outside I_f raises f's DomainError."""
         if r < AXIS_RADIUS:
             raise _AxisContact()
         kp = math.sin(th) / r
-        if not (dom.lo - 1e-12 <= kp <= dom.hi + 1e-12):
-            raise DomainError(f"parallel curvature {kp:.6g} outside I_f")
         return float(f(kp)), kp
 
     r, z, th = (float(v) for v in seed)
@@ -247,19 +230,19 @@ class _AxisContact(Exception):
     pass
 
 
-def detect_period(profile: ProfileCurve, tol: float = 1e-4) -> Optional[float]:
+def detect_period(profile: ProfileCurve) -> Optional[float]:
     """First return time of (r, theta) to its initial value.
 
     Scans for a local minimum of the phase distance after the trajectory has
     left the initial neighborhood, then refines it with a parabolic fit.  A
-    minimum is a return when the fitted miss distance is below `tol` plus
+    minimum is a return when the fitted miss distance is below PERIOD_TOL plus
     half the phase distance travelled in one sample step: the fit's error
     grows with the step and the phase speed, so a fixed tolerance rejects
     true returns at coarse steps.  Returns None when no return is found.
     """
     d2 = (profile.r - profile.r[0]) ** 2 + (profile.theta - profile.theta[0]) ** 2
     leave = math.sqrt(float(np.max(d2))) * 0.25
-    if leave <= tol:
+    if leave <= PERIOD_TOL:
         return None
     left = False
     for k in range(1, len(d2) - 1):
@@ -273,7 +256,7 @@ def detect_period(profile: ProfileCurve, tol: float = 1e-4) -> Optional[float]:
             s_star = profile.s[k] + shift * ds
             d_min = d2[k] - 0.25 * (d2[k - 1] - d2[k + 1]) * shift
             step_travel = math.sqrt(max(den, 0.0) / 2.0)   # phase speed * step
-            if d_min < (tol + 0.5 * step_travel) ** 2:
+            if d_min < (PERIOD_TOL + 0.5 * step_travel) ** 2:
                 return float(s_star)
             left = False  # spurious shallow minimum; keep scanning
     return None

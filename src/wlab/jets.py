@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, EllipticityError
-from .relation import DOMAIN_TOL, ClosedForm, RelationSpec, certify_ellipticity, g_of
+from .relation import ClosedForm, RelationSpec, certify_ellipticity, g_of
 
 FD_SCALE = 1.0e-6        # central-difference step: FD_SCALE * (1 + |component|)
 FD_MATCH_RTOL = 1.0e-6   # analytic vs finite-difference agreement requirement
@@ -112,14 +112,15 @@ def g_at(g, H, K, derivative: bool = False):
     whose `index` is the position of the first offender in H."""
     t = np.asarray(h2_minus_k(H, K))
     ok = ~np.isnan(t)
-    bad = ok & ~g.domain.contains(t, tol=DOMAIN_TOL)
-    if np.any(bad):
-        index = np.unravel_index(int(np.argmax(bad)), t.shape)
-        raise DomainError(f"relation domain violated: H^2-K = {float(t[index]):.6g}", index)
 
     def at(fn):
         out = np.full(t.shape, np.nan)
-        out[ok] = fn(t[ok])
+        try:
+            out[ok] = fn(t[ok])
+        except DomainError as exc:
+            index = np.unravel_index(np.flatnonzero(ok)[exc.index[0]], t.shape)
+            raise DomainError(f"relation domain violated: H^2-K = {float(t[index]):.6g}",
+                              index) from None
         return out
 
     return (at(g), at(g.derivative)) if derivative else at(g)

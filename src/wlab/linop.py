@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RelationError
-from .jets import g_at, mean_gauss
+from .jets import g_at, mean_gauss, stencil_jets
 from .relation import RelationSpec, g_of
 from .solver import GraphPatch, jet_fields
 
@@ -105,18 +105,11 @@ def variation_rhs_fields(patch: GraphPatch, phi: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _curvatures_and_normal(X: np.ndarray):
-    """(H, K, Xu x Xv) of the parametrized patch X by centered differences;
-    NaN on the outer ring."""
-    Xu = np.full_like(X, np.nan)
-    Xv = np.full_like(X, np.nan)
-    Xuu = np.full_like(X, np.nan)
-    Xvv = np.full_like(X, np.nan)
-    Xuv = np.full_like(X, np.nan)
-    Xu[:, 1:-1] = 0.5 * (X[:, 2:] - X[:, :-2])
-    Xv[1:-1, :] = 0.5 * (X[2:, :] - X[:-2, :])
-    Xuu[:, 1:-1] = X[:, 2:] - 2.0 * X[:, 1:-1] + X[:, :-2]
-    Xvv[1:-1, :] = X[2:, :] - 2.0 * X[1:-1, :] + X[:-2, :]
-    Xuv[1:-1, 1:-1] = 0.25 * (X[2:, 2:] - X[2:, :-2] - X[:-2, 2:] + X[:-2, :-2])
+    """(H, K, Xu x Xv) of the parametrized patch X by the jet stencil with
+    unit spacing at the interior nodes; NaN on the outer ring."""
+    ny, nx = X.shape[:2]
+    Xu, Xv, Xuu, Xuv, Xvv = stencil_jets(X, 1.0, np.arange(1, ny - 1)[:, None],
+                                         np.arange(1, nx - 1))
     n = np.cross(Xu, Xv)
     with np.errstate(invalid="ignore"):
         nn = n / np.linalg.norm(n, axis=-1, keepdims=True)
@@ -129,7 +122,9 @@ def _curvatures_and_normal(X: np.ndarray):
         det = E * G - F * F
         H = (L * G - 2.0 * M * F + N * E) / (2.0 * det)
         K = (L * N - M * M) / det
-    return H, K, n
+    ring = ((1, 1), (1, 1))
+    return (np.pad(H, ring, constant_values=np.nan), np.pad(K, ring, constant_values=np.nan),
+            np.pad(n, ring + ((0, 0),), constant_values=np.nan))
 
 
 def parametrized_curvatures(X: np.ndarray):

@@ -30,6 +30,7 @@ MINIMAL_TOL = 1.0e-10           # |g(0)| below this counts as minimal type
 UNIFORM_MARGIN = 1.0e-3         # sup 4t g'^2 <= 1 - margin to declare uniform
 _BOUNDED_TAIL_TOL = 0.05        # tail-flatness threshold for branch boundedness
 DOMAIN_TOL = 1.0e-12            # slack of the domain check on scalar-function arguments
+WEDGE_CHECK_POINTS = 512        # samples of f(x)/x in the wedge check
 
 
 @dataclass(frozen=True)
@@ -115,19 +116,34 @@ def _build_sqrt_offset(p):
 
 
 def _check_domain(domain: Interval, x, what: str):
+    """The domain rule of every scalar function: x must lie in `domain` up to
+    DOMAIN_TOL.  Raises DomainError whose `index` is the first offender."""
     if type(x) is float and domain.lo - DOMAIN_TOL <= x <= domain.hi + DOMAIN_TOL:
         return
     x = np.asarray(x, dtype=float)
-    ok = domain.contains(x, tol=DOMAIN_TOL)
-    if not np.all(ok):
-        bad = np.atleast_1d(x)[~np.atleast_1d(ok)]
+    bad = ~domain.contains(x, tol=DOMAIN_TOL)
+    if np.any(bad):
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise DomainError(
-            f"{what} evaluated at {bad.flat[0]:.17g} outside domain "
-            f"[{domain.lo:g}, {domain.hi:g}] ({bad.size} offending points)")
+            f"{what} evaluated at {x[index]:.17g} outside domain "
+            f"[{domain.lo:g}, {domain.hi:g}] ({np.count_nonzero(bad)} offending points)", index)
+
+
+class _Evaluated:
+    """The one evaluation path of a scalar function: check the domain, then
+    call the stored value (`_fn`) or derivative (`_dfn`) function."""
+
+    def __call__(self, x):
+        _check_domain(self.domain, x, self._what)
+        return self._fn(x)
+
+    def derivative(self, x):
+        _check_domain(self.domain, x, self._what + " derivative")
+        return self._dfn(x)
 
 
 @dataclass(frozen=True, eq=False)
-class ClosedForm:
+class ClosedForm(_Evaluated):
     """A named analytic scalar function with parameters."""
 
     name: str
@@ -140,14 +156,7 @@ class ClosedForm:
         fn, dfn = _CLOSED_FORMS[self.name](self.params)
         object.__setattr__(self, "_fn", fn)
         object.__setattr__(self, "_dfn", dfn)
-
-    def __call__(self, x):
-        _check_domain(self.domain, x, f"closed form {self.name!r}")
-        return self._fn(x)
-
-    def derivative(self, x):
-        _check_domain(self.domain, x, f"closed form {self.name!r} derivative")
-        return self._dfn(x)
+        object.__setattr__(self, "_what", f"closed form {self.name!r}")
 
     def to_json(self) -> dict:
         return {"kind": "closed", "name": self.name, "params": dict(self.params),
@@ -155,11 +164,12 @@ class ClosedForm:
 
 
 @dataclass(frozen=True, eq=False)
-class SampledHermite:
+class SampledHermite(_Evaluated):
     """C1 cubic Hermite interpolant through (breakpoints, values, derivatives).
 
     Evaluation outside [breakpoints[0], breakpoints[-1]] raises DomainError;
-    there is no extrapolation."""
+    within DOMAIN_TOL of an end the end cubic is evaluated, as a closed form
+    evaluates its formula there."""
 
     breakpoints: np.ndarray
     values: np.ndarray
@@ -178,19 +188,10 @@ class SampledHermite:
         object.__setattr__(self, "values", ys)
         object.__setattr__(self, "derivatives", dys)
         object.__setattr__(self, "domain", Interval(float(xs[0]), float(xs[-1])))
-        spline = CubicHermiteSpline(xs, ys, dys, extrapolate=False)
-        object.__setattr__(self, "_spline", spline)
-        object.__setattr__(self, "_dspline", spline.derivative())
-
-    def __call__(self, x):
-        _check_domain(self.domain, x, "sampled function")
-        xc = np.clip(x, self.breakpoints[0], self.breakpoints[-1])
-        return self._spline(xc)
-
-    def derivative(self, x):
-        _check_domain(self.domain, x, "sampled function derivative")
-        xc = np.clip(x, self.breakpoints[0], self.breakpoints[-1])
-        return self._dspline(xc)
+        spline = CubicHermiteSpline(xs, ys, dys)
+        object.__setattr__(self, "_fn", spline)
+        object.__setattr__(self, "_dfn", spline.derivative())
+        object.__setattr__(self, "_what", "sampled function")
 
     def to_json(self) -> dict:
         return {"kind": "hermite", "x": self.breakpoints.tolist(),
@@ -293,19 +294,28 @@ def relation_from_json(obj: dict) -> RelationSpec:
     raise RelationError(f"unknown relation kind {kind!r}")
 
 
+def _linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
+    """(alpha, beta, delta) of 2*alpha*H + beta*K = delta for CMC (1, 0, 2*h0)
+    and linear relations; None for the other forms."""
+    if isinstance(rel, CMC):
+        return 1.0, 0.0, 2.0 * rel.h0
+    if isinstance(rel, LinearWeingarten):
+        return rel.alpha, rel.beta, rel.delta
+    return None
+
+
 def g_of(rel: RelationSpec) -> ScalarFunction:
     """The g of H = g(H^2-K) for any relation; f-form relations are
     converted by sampling (`f_to_g`)."""
-    if isinstance(rel, CMC):
-        return ClosedForm("constant", {"value": rel.h0}, HALF_LINE)
-    if isinstance(rel, LinearWeingarten):
-        if rel.beta == 0.0:
-            return ClosedForm("constant", {"value": rel.delta / (2.0 * rel.alpha)}, HALF_LINE)
+    lin = _linear_coefficients(rel)
+    if lin is not None:
+        al, be, de = lin
+        if be == 0.0:
+            return ClosedForm("constant", {"value": de / (2.0 * al)}, HALF_LINE)
         # solve beta*H^2 + 2*alpha*H - (delta + beta*t) = 0 for H, branch through the
         # canonical fixed point: g(t) = sqrt(t + disc/beta^2) - alpha/beta
-        e = rel.discriminant / rel.beta ** 2
-        return ClosedForm("sqrt_offset", {"scale": 1.0, "offset": e, "shift": -rel.alpha / rel.beta},
-                          HALF_LINE)
+        e = (al ** 2 + be * de) / be ** 2
+        return ClosedForm("sqrt_offset", {"scale": 1.0, "offset": e, "shift": -al / be}, HALF_LINE)
     if isinstance(rel, GForm):
         return rel.g
     return f_to_g(rel).g
@@ -313,14 +323,13 @@ def g_of(rel: RelationSpec) -> ScalarFunction:
 
 def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
     """The f of k2 = f(k1), when it exists in closed form (GForm -> None)."""
-    if isinstance(rel, CMC):
-        return ClosedForm("affine", {"intercept": 2.0 * rel.h0, "slope": -1.0}, FULL_LINE)
-    if isinstance(rel, LinearWeingarten):
-        if rel.beta == 0.0:
-            return ClosedForm("affine", {"intercept": rel.delta / rel.alpha, "slope": -1.0}, FULL_LINE)
-        pole = -rel.alpha / rel.beta
-        return ClosedForm("mobius", {"alpha": rel.alpha, "beta": rel.beta, "delta": rel.delta},
-                          Interval(pole, math.inf))
+    lin = _linear_coefficients(rel)
+    if lin is not None:
+        al, be, de = lin
+        if be == 0.0:
+            return ClosedForm("affine", {"intercept": de / al, "slope": -1.0}, FULL_LINE)
+        return ClosedForm("mobius", {"alpha": al, "beta": be, "delta": de},
+                          Interval(-al / be, math.inf))
     if isinstance(rel, FForm):
         return rel.f
     return None
@@ -510,8 +519,7 @@ def _fform_sample_grid(f: ScalarFunction, t_max: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * w
 
 
-def _check_involution(f: ScalarFunction, xs: np.ndarray, fx: np.ndarray,
-                      tol: float = SYMMETRY_TOL):
+def _check_involution(f: ScalarFunction, xs: np.ndarray, fx: np.ndarray):
     inside = f.domain.contains(fx, tol=0.0)
     if not np.any(inside):
         raise RelationError("f never maps the sampled grid back into its own domain")
@@ -519,7 +527,7 @@ def _check_involution(f: ScalarFunction, xs: np.ndarray, fx: np.ndarray,
     err = np.abs(ffx - xs[inside])
     scale = 1.0 + np.abs(xs[inside])
     worst = int(np.argmax(err / scale))
-    if err[worst] > tol * scale[worst]:
+    if err[worst] > SYMMETRY_TOL * scale[worst]:
         raise RelationError(
             f"f is not an involution: |f(f(x))-x| = {err[worst]:.3e} at x = {xs[inside][worst]:.9g}")
 
@@ -595,20 +603,14 @@ def g_to_f(rel: RelationSpec, t_grid: Optional[np.ndarray] = None) -> FForm:
         raise EllipticityError(
             "branch monotonicity fails: relation is not elliptic on the grid")
 
-    u = 2.0 * rt[pos] * dg[pos]
+    u = 2.0 * rt * np.where(pos, dg, 0.0)     # 2 sqrt(t) g', 0 at the umbilic t = 0
     slope_up = (u - 1.0) / (u + 1.0)          # df/dx on the increasing branch
     slope_dn = (u + 1.0) / (u - 1.0)          # reciprocal, on the decreasing branch
 
-    has_umbilic = ts[0] == 0.0
-    if has_umbilic:
-        xs = np.concatenate([y_up[pos][::-1], [x_up[0]], x_up[pos]])
-        ys = np.concatenate([x_up[pos][::-1], [y_up[0]], y_up[pos]])
-        dys = np.concatenate([slope_dn[::-1], [-1.0], slope_up])
-    else:
-        xs = np.concatenate([y_up[::-1], x_up])
-        ys = np.concatenate([x_up[::-1], y_up])
-        sl_up = (2.0 * rt * dg - 1.0) / (2.0 * rt * dg + 1.0)
-        dys = np.concatenate([(1.0 / sl_up)[::-1], sl_up])
+    xs = np.concatenate([y_up[::-1], x_up])
+    ys = np.concatenate([x_up[::-1], y_up])
+    dys = np.concatenate([slope_dn[::-1], slope_up])
+    # at t = 0 both branches meet, and the mask drops the umbilic's second copy
     keep = np.concatenate([[True], np.diff(xs) > MONOTONE_MARGIN])
     return FForm(SampledHermite(xs[keep], ys[keep], dys[keep]))
 
@@ -662,8 +664,10 @@ def _signed_umbilic(rel: RelationSpec, xs: Optional[np.ndarray] = None,
     """Signed umbilical value: g(0) (None off g's domain), or for f-form
     relations the fixed point of f bracketed on the samples (xs, fx = f(xs))."""
     if not isinstance(rel, FForm):
-        g = g_of(rel)
-        return float(np.asarray(g(0.0))) if g.domain.contains(0.0, tol=1e-12) else None
+        try:
+            return float(np.asarray(g_of(rel)(0.0)))
+        except DomainError:
+            return None
     if xs is None:
         xs = _fform_sample_grid(rel.f, DEFAULT_T_MAX, 4000)
         fx = np.asarray(rel.f(xs), dtype=float)
@@ -678,7 +682,7 @@ def umbilical_constant(rel: RelationSpec) -> Optional[float]:
     return None if a is None else abs(a)
 
 
-def wedge_for_uniform_minimal(rel: RelationSpec, *, check_points: int = 512) -> tuple:
+def wedge_for_uniform_minimal(rel: RelationSpec) -> tuple:
     """Slopes (m1, m2) = (-Lambda2, -Lambda1) of the wedge m1*x <= f(x) <= m2*x
     containing the graph of f, for uniformly elliptic minimal-type relations.
 
@@ -699,7 +703,7 @@ def wedge_for_uniform_minimal(rel: RelationSpec, *, check_points: int = 512) -> 
     span = 2.0 / max(lam1, 1e-6)
     lo = max(dom.lo, -span) if math.isfinite(dom.lo) else -span
     hi = min(dom.hi, span) if math.isfinite(dom.hi) else span
-    xs = np.linspace(lo, hi, check_points)
+    xs = np.linspace(lo, hi, WEDGE_CHECK_POINTS)
     xs = xs[np.abs(xs) > 1e-9]
     ratio = np.asarray(f(xs), dtype=float) / xs
     tol = 1e-9 * (1.0 + abs(m1))

@@ -222,6 +222,11 @@ OVERWIDE_DISK = {  # R*H0 = 1.08: no cap exists
     "domain": {"type": "disk", "center": [0.0, 0.0], "radius": 1.0},
     "h": 1.0 / 24.0, "tol_res": 1e-9, "max_iter": 30,
 }
+STEEP_SQUARE = {  # H0 = 3 on the unit square: no graph, the residual grows
+    "relation": {"kind": "cmc", "h0": 3.0},
+    "domain": {"type": "rectangle", "bounds": [0.0, 1.0, 0.0, 1.0]},
+    "h": 1.0 / 16.0, "tol_res": 1e-9, "max_iter": 40,
+}
 TWO_SQRT_T = {"kind": "g", "function": {"kind": "closed", "name": "sqrt_offset",
                                         "params": {"scale": 2.0, "offset": 0.0, "shift": 0.0},
                                         "domain": [0.0, "inf"]}}
@@ -253,6 +258,12 @@ def same_selection_as_in_process(outdir):
     assert report["selection"] == sel.to_json()
 
 
+def reports_divergence(outdir):
+    outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
+    assert outcome["status"] == "diverged"
+    assert outcome["iterations"] == len(outcome["history"]) < 40
+
+
 def reports_domain_violation(outdir):
     outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
     assert outcome["status"] == "domain_violation"
@@ -264,6 +275,7 @@ def reports_domain_violation(outdir):
 EXIT_CODES = {
     "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
     "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
+    "steep_square_diverges": ("solve", lambda tmp: STEEP_SQUARE, 3, reports_divergence),
     "domain_violation_at_start": ("solve", lambda tmp: HERMITE_START, 3, reports_domain_violation),
     "non_elliptic_certify": ("certify", lambda tmp: {"relation": TWO_SQRT_T}, 2, None),
     "malformed_json": ("certify", lambda tmp: '{"relation": {"kind": "cmc" "h0": 1}}', 1, None),

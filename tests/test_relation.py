@@ -102,6 +102,17 @@ class TestConversions:
         ff = g_to_f(LinearWeingarten(0.0, 1.0, 1.0))
         assert float(np.asarray(ff.f(1.0))) == pytest.approx(1.0, abs=1e-10)
 
+    def test_g_to_f_for_a_g_whose_domain_starts_above_zero(self):
+        ts = np.linspace(0.1, 50.0, 40)
+        g = SampledHermite(ts, 0.3 * np.sqrt(ts + 1.0), 0.15 / np.sqrt(ts + 1.0))
+        f = g_to_f(GForm(g)).f
+        xs = f.breakpoints
+        fx = np.asarray(f(xs))
+        assert np.array_equal(np.asarray(f(fx)), xs)
+        dfx = np.asarray(f.derivative(xs))
+        assert np.all(dfx < 0.0)
+        assert np.max(np.abs(dfx * np.asarray(f.derivative(fx)) - 1.0)) <= 1e-12
+
     def test_g_to_f_rejects_non_elliptic(self):
         with pytest.raises(EllipticityError):
             g_to_f(sqrt_rel(scale=2.0, offset=1e-6))
@@ -256,6 +267,12 @@ class TestScalarFunctions:
         for bad in (1.0 + 2.0 * DOMAIN_TOL, -1.0, math.nan, np.float64(-1.0)):
             with pytest.raises(DomainError, match="closed form 'affine' evaluated at"):
                 f(bad)
+        xs = np.linspace(0.0, 3.0, 30)
+        sf = SampledHermite(xs, np.sin(xs), np.cos(xs))
+        assert math.isfinite(float(sf(xs[-1] + 0.5 * DOMAIN_TOL)))
+        with pytest.raises(DomainError, match=r"evaluated at 2 .*\(2 offending points\)") as exc:
+            f(np.array([0.5, 2.0, -3.0]))
+        assert exc.value.index == (1,)
 
     def test_unknown_closed_form_rejected(self):
         with pytest.raises(RelationError):

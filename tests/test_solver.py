@@ -98,6 +98,15 @@ class TestNewton:
         out = newton_solve(CMC(0.5), patch, tol_res=1e-8, max_iter=25)
         assert out.status != "converged"
 
+    def test_growing_residual_is_diverged(self):
+        # H0 = 3 on the unit square has no graph solution: the residual falls, then grows
+        out = newton_solve(CMC(3.0), GraphPatch.rectangle((0, 1, 0, 1), 1 / 16), tol_res=1e-9,
+                           max_iter=40)
+        assert out.status == "diverged" and out.iterations < 40
+        sups = [rec["residual_sup"] for rec in out.history]
+        run = solver.RESIDUAL_GROWTH_RUN
+        assert all(b > a for a, b in zip(sups[-run - 1:-1], sups[-run:]))
+
     def test_domain_violation_at_start_is_a_status(self):
         g = SampledHermite(np.array([0.0, 0.1]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
         patch = GraphPatch.rectangle((0, 1, 0, 1), 1 / 8, boundary=1.0, init=0.0)
