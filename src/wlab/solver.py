@@ -7,14 +7,18 @@ nested-dissection order of their grid nodes, computed once per solve,
 without pivoting, which keeps about half the fill of a pivoted COLAMD
 factorization.  A factorization that is exactly singular, or whose step is
 not finite or has a relative backward error above 1e-8, is redone with
-SuperLU's COLAMD order and threshold partial pivoting.  The factor is then
-frozen: each later step solves J_k s = -F_k by GMRES preconditioned with it
-(an inexact Newton step, Kelley 2003; Eisenstat & Walker 1996), to the same
-relative backward error 1e-8, checked on J_k s + F_k after GMRES returns.
-A step that misses the check within three restart cycles of 20 is factored
-afresh, and so is the step after one that GMRES solved in more than 15
-iterations; the old factor is freed first.  The rule counts iterations and
-reads no clock, so reruns are identical.
+SuperLU's COLAMD order and threshold partial pivoting.  The factor P is
+then frozen: each later step solves J_k s = -F_k inexactly (Kelley 2003),
+by GMRES on the right-preconditioned operator J_k P^-1, so GMRES minimizes
+the true residual |J_k s + F_k| itself.  Step k asks for the relative
+residual eta_k of Eisenstat & Walker (1996), choice 2 with gamma = 0.1:
+eta_k = 0.1 (|w_k| / |w_{k-1}|)^2 on the work residual w, raised to
+0.5 tol / |F_k|_inf near the tolerance, capped at 0.1 and never below
+1e-8, and checked on J_k s + F_k after GMRES returns.  A step that misses
+the check within three restart cycles of 20 is factored afresh and solved
+to 1e-8, and so is the step after one that GMRES solved in more than 15
+iterations; the old factor is freed first.  The rules count iterations and
+residuals and read no clock, so reruns are identical.
 
 Rectangle domains carry Dirichlet values on the outer node ring.  Disk
 domains are masked out of a uniform grid; the in-domain ring next to the
@@ -54,6 +58,8 @@ BACKWARD_ERROR_LIMIT = 1e-8  # relative |J x - b| / |b| every Newton step must m
 KRYLOV_RESTART = 20          # GMRES restart length
 KRYLOV_CYCLES = 3            # GMRES restart cycles before the step is refactored
 KRYLOV_REFACTOR_ITERS = 15   # more GMRES iterations than this: factor the next Jacobian
+FORCING_GAMMA = 0.1          # Eisenstat-Walker choice 2: eta = gamma (|w_k| / |w_{k-1}|)^2
+FORCING_MAX = 0.1            # loosest relative residual a Newton step asks of GMRES
 
 BoundaryData = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -302,9 +308,10 @@ class SolveOutcome:
     # step, the accepted step_scale (0 if none), the rejected trial steps
     # (backtracks), the interior slope max |Du|, the GMRES iterations the
     # linear solve ran (krylov_iters; 0 when it had no factor to reuse),
-    # whether the step factored its Jacobian (refactored), and whether the
+    # whether the step factored its Jacobian (refactored), whether the
     # factor the step used, fresh or reused, is the pivoted COLAMD fallback
-    # (pivoted)
+    # (pivoted), and the relative linear residual the step asked of GMRES
+    # (forcing; a fresh factorization solves to BACKWARD_ERROR_LIMIT anyway)
     history: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -365,9 +372,10 @@ class Factor:
         self.lu = None
 
 
-def _solves_to_limit(J: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> bool:
+def _solves_to_limit(J: sp.spmatrix, x: np.ndarray, rhs: np.ndarray,
+                     rtol: float = BACKWARD_ERROR_LIMIT) -> bool:
     # a non-finite x fails the comparison
-    return bool(np.linalg.norm(J @ x - rhs) <= BACKWARD_ERROR_LIMIT * np.linalg.norm(rhs))
+    return bool(np.linalg.norm(J @ x - rhs) <= rtol * np.linalg.norm(rhs))
 
 
 def _factor(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray):
@@ -394,19 +402,20 @@ def _factor(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray):
 
 
 def spsolve(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray,
-            factor: Optional[Factor] = None):
-    """Solve J x = rhs for one Newton step to |J x - rhs| <= BACKWARD_ERROR_LIMIT
-    |rhs|; returns (x, factor, krylov_iters, refactored).
+            factor: Optional[Factor] = None, rtol: float = BACKWARD_ERROR_LIMIT):
+    """Solve J x = rhs for one Newton step to |J x - rhs| <= rtol |rhs|;
+    returns (x, factor, krylov_iters, refactored).
 
-    With a `factor` of an earlier Jacobian, x comes from GMRES (restart
-    KRYLOV_RESTART, at most KRYLOV_CYCLES cycles, relative tolerance
-    BACKWARD_ERROR_LIMIT) preconditioned by it, and krylov_iters counts its
-    iterations.  The bound is then checked on J x - rhs itself; a miss frees
-    the given factor (`Factor.release`) and J is factored afresh, as it is
-    when no factor is given, with an unpivoted nested-dissection LU and its
-    checked COLAMD fallback (`_factor`).  The factor returned is the one x
-    came from, and refactored says whether it is new.  Raises RuntimeError
-    when J must be factored and is singular.
+    With a `factor` P of an earlier Jacobian, GMRES (restart KRYLOV_RESTART,
+    at most KRYLOV_CYCLES cycles, relative tolerance rtol) solves
+    J P^-1 y = rhs, x = P^-1 y, and krylov_iters counts its iterations.  The
+    bound is then checked on J x - rhs itself; a miss frees the given factor
+    (`Factor.release`) and J is factored afresh, as it is when no factor is
+    given, with an unpivoted nested-dissection LU and its checked COLAMD
+    fallback (`_factor`), which solve to BACKWARD_ERROR_LIMIT whatever rtol
+    is.  The factor returned is the one x came from, and refactored says
+    whether it is new.  Raises RuntimeError when J must be factored and is
+    singular.
     """
     krylov_iters = 0
     if factor is not None:
@@ -414,10 +423,19 @@ def spsolve(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray,
             nonlocal krylov_iters
             krylov_iters += 1
 
-        M = LinearOperator(J.shape, matvec=factor.solve, dtype=float)
-        x, _ = gmres(J, rhs, rtol=BACKWARD_ERROR_LIMIT, restart=KRYLOV_RESTART,
-                     maxiter=KRYLOV_CYCLES, M=M, callback=count, callback_type="pr_norm")
-        if _solves_to_limit(J, x, rhs):
+        # GMRES ends each cycle by applying J P^-1 to its iterate y, so the
+        # last P^-1 y it computed is the step x
+        last = [None, None]
+
+        def preconditioned(y):
+            last[:] = y.copy(), factor.solve(y)
+            return J @ last[1]
+
+        y, _ = gmres(LinearOperator(J.shape, matvec=preconditioned, dtype=float), rhs,
+                     rtol=rtol, restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES,
+                     callback=count, callback_type="pr_norm")
+        x = last[1] if np.array_equal(y, last[0]) else factor.solve(y)
+        if _solves_to_limit(J, x, rhs, rtol):
             return x, factor, krylov_iters, False
         factor.release()
     x, factor = _factor(J, rhs, order)
@@ -564,21 +582,28 @@ def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = 1e-10,
     res_sup = np.max(np.abs(F_vec))
     growth = 0
     factor, krylov_iters, refactored = None, 0, True
+    prev_norm = None
     for it in range(1, max_iter + 1):
         if res_sup <= tol_res:
             return outcome("converged", res_sup, it - 1)
         if not refactored and krylov_iters > KRYLOV_REFACTOR_ITERS:
             factor = None    # the only reference, so its LU is freed before the next
+        norm0 = np.linalg.norm(work)
+        forcing = BACKWARD_ERROR_LIMIT
+        if prev_norm is not None:
+            forcing = max(BACKWARD_ERROR_LIMIT,
+                          min(FORCING_MAX, max(FORCING_GAMMA * (norm0 / prev_norm) ** 2,
+                                               0.5 * tol_res / res_sup)))
+        prev_norm = norm0
         try:
             _, _, _, grads = sys_.residual(values, with_gradient=True)
             step, factor, krylov_iters, refactored = spsolve(sys_.jacobian(grads), -work,
-                                                             sys_.order, factor)
+                                                             sys_.order, factor, rtol=forcing)
         except (RuntimeError, DomainError, ValueError):
             return outcome("line_search_failure", res_sup, it - 1)
         if not np.all(np.isfinite(step)):
             return outcome("line_search_failure", res_sup, it - 1)
 
-        norm0 = np.linalg.norm(work)
         z = sys_.unknowns(values)
         scale = 1.0
         backtracks = 0
@@ -600,7 +625,8 @@ def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = 1e-10,
                         "residual_l2": float(np.linalg.norm(F_vec)),
                         "step_scale": scale if accepted else 0.0, "backtracks": backtracks,
                         "slope": slope, "pivoted": factor.pivoted,
-                        "krylov_iters": krylov_iters, "refactored": refactored})
+                        "krylov_iters": krylov_iters, "refactored": refactored,
+                        "forcing": float(forcing)})
         if not accepted:
             return outcome("line_search_failure", res_sup, it)
 

@@ -125,6 +125,7 @@ class TestNewton:
             assert rec["residual_sup"] <= rec["residual_l2"]
             assert rec["step_scale"] == 0.5 ** rec["backtracks"]
             assert isinstance(rec["krylov_iters"], int) and isinstance(rec["refactored"], bool)
+            assert solver.BACKWARD_ERROR_LIMIT <= rec["forcing"] <= solver.FORCING_MAX
         assert out.to_json()["history"] == out.history
         assert json.loads(json.dumps(out.to_json()))["history"] == out.history
 
@@ -149,6 +150,77 @@ class TestNewton:
                 assert rec["refactored"] and rec["krylov_iters"] == 0
             else:   # GMRES tried the factor first
                 assert rec["krylov_iters"] > 0
+
+    @pytest.mark.parametrize("r_h0, steps", [(0.48, 4), (0.55, 4), (0.62, 4), (0.8, 5),
+                                             (0.9, 5)])
+    def test_cap_newton_step_counts(self, r_h0, steps):
+        # inexact steps must not cost Newton steps: these are the exact-solve counts
+        out = newton_solve(CMC(r_h0 / 0.75), GraphPatch.disk((0.0, 0.0), 0.75, 1 / 64),
+                           tol_res=1e-10, max_iter=30)
+        assert out.status == "converged" and out.iterations == steps
+        assert out.history[0]["forcing"] == solver.BACKWARD_ERROR_LIMIT
+        assert all(rec["forcing"] > solver.BACKWARD_ERROR_LIMIT for rec in out.history[1:])
+
+    def test_each_step_asks_spsolve_for_its_forcing_term(self, monkeypatch):
+        asked = []
+
+        def recording(*args, rtol=solver.BACKWARD_ERROR_LIMIT, **kwargs):
+            asked.append(rtol)
+            return spsolve(*args, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(solver, "spsolve", recording)
+        out = solved_cap(1 / 32)
+        assert asked == [rec["forcing"] for rec in out.history]
+        assert max(asked) > solver.BACKWARD_ERROR_LIMIT
+
+    def test_last_allowed_iteration_converges(self):
+        n = solved_cap(1 / 32).iterations
+        out = newton_solve(CMC(0.5), GraphPatch.disk((0.0, 0.0), 1.0, 1 / 32), tol_res=1e-10,
+                           max_iter=n)
+        assert out.status == "converged" and out.iterations == n == len(out.history)
+        assert out.residual_sup <= 1e-10
+
+    def test_trial_outside_the_domain_is_backtracked(self):
+        # g is sampled on [0, 0.01] only: the first full Newton step of this cap
+        # leaves that domain, and half of it does not
+        rel = GForm(SampledHermite(np.array([0.0, 0.01]), np.array([0.5, 0.5]),
+                                   np.array([0.0, 0.0])))
+        patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 16)
+        system = solver._System(rel, patch)
+        _, work, _, grads = system.residual(patch.values, with_gradient=True)
+        step, *_ = spsolve(system.jacobian(grads), -work, system.order)
+        with pytest.raises(DomainError):
+            system.residual(system.insert(patch.values, system.unknowns(patch.values) + step))
+        out = newton_solve(rel, patch, tol_res=1e-9, max_iter=1)
+        assert out.status == "max_iterations" and out.iterations == 1
+        first = out.history[0]
+        assert first["backtracks"] >= 1 and first["step_scale"] == 0.5 ** first["backtracks"]
+
+    def test_failed_linear_solve_is_a_line_search_failure(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver, "spsolve", singular)
+        patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 16)
+        out = newton_solve(CMC(0.5), patch, tol_res=1e-10)
+        assert out.status == "line_search_failure" and out.iterations == 0 and out.history == []
+        assert out.residual_sup == pytest.approx(0.5)
+        assert np.array_equal(out.final_patch.values, patch.values, equal_nan=True)
+
+    def test_non_finite_step_is_a_line_search_failure(self, monkeypatch):
+        calls = []
+
+        def nan_second_step(J, rhs, *args, **kwargs):
+            x, *rest = spsolve(J, rhs, *args, **kwargs)
+            calls.append(x)
+            return (np.full_like(x, np.nan) if len(calls) == 2 else x, *rest)
+
+        monkeypatch.setattr(solver, "spsolve", nan_second_step)
+        out = newton_solve(CMC(0.5), GraphPatch.disk((0.0, 0.0), 1.0, 1 / 16), tol_res=1e-10)
+        assert out.status == "line_search_failure" and out.iterations == 1
+        assert len(calls) == 2 and len(out.history) == 1
+        assert out.residual_sup == out.history[0]["residual_sup"]
+        assert np.all(np.isfinite(out.final_patch.values[out.final_patch.mask]))
 
     def test_fform_relation_usable(self):
         # solver accepts f-side input by converting internally
@@ -220,6 +292,26 @@ class TestLinearSolve:
         assert np.linalg.norm(J1 @ x - b) <= solver.BACKWARD_ERROR_LIMIT * np.linalg.norm(b)
         ref = scipy_spsolve(J1.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_reused_factor_meets_a_looser_forcing_term(self):
+        system, J0, J1, b = self._cap_step_systems()
+        _, factor0, _, _ = spsolve(J0, np.ones(system.n), system.order)
+        _, _, tight_iters, _ = spsolve(J1, b, system.order, factor0)
+        x, factor, loose_iters, refactored = spsolve(J1, b, system.order, factor0, rtol=1e-3)
+        assert factor is factor0 and not refactored
+        assert 0 < loose_iters < tight_iters
+        assert np.linalg.norm(J1 @ x - b) <= 1e-3 * np.linalg.norm(b)
+
+    def test_reused_factor_solves_once_per_gmres_iteration_and_cycle(self, monkeypatch):
+        system, J0, J1, b = self._cap_step_systems()
+        _, factor0, _, _ = spsolve(J0, np.ones(system.n), system.order)
+        solves = []
+        original = solver.Factor.solve
+        monkeypatch.setattr(solver.Factor, "solve",
+                            lambda self, v: solves.append(1) or original(self, v))
+        _, _, krylov_iters, _ = spsolve(J1, b, system.order, factor0)
+        assert krylov_iters <= solver.KRYLOV_RESTART    # one cycle
+        assert len(solves) == krylov_iters + 1
 
     def test_unrelated_factor_misses_and_is_refactored(self):
         system, _, J1, b = self._cap_step_systems()
