@@ -34,6 +34,7 @@ relations that leaves h invariant.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -109,11 +110,13 @@ class GraphPatch:
     def shape(self) -> tuple:
         return self.mask.shape
 
-    def xy(self):
+    def axes(self):
+        """Grid coordinates (x of each column, y of each row)."""
         ny, nx = self.shape
-        x = self.x0 + self.h * np.arange(nx)
-        y = self.y0 + self.h * np.arange(ny)
-        return np.meshgrid(x, y)
+        return self.x0 + self.h * np.arange(nx), self.y0 + self.h * np.arange(ny)
+
+    def xy(self):
+        return np.meshgrid(*self.axes())
 
     def interior_mask(self) -> np.ndarray:
         m = self.mask
@@ -221,29 +224,50 @@ class GraphPatch:
     # -- I/O ---------------------------------------------------------------
 
     def save(self, csv_path, header_path):
-        X, Y = self.xy()
-        sel = self.mask
-        rows = np.column_stack([X[sel], Y[sel], self.values[sel]])
-        np.savetxt(csv_path, rows, delimiter=",", header="x,y,u", comments="")
+        """Write `x,y,u` rows of the masked nodes (row-major) and a JSON header.
+
+        Every float is written as its `repr`, the shortest decimal that parses
+        back to the same double, so a reload restores every value bit for bit.
+        x and y are formatted once per grid column and row (`xy` is a
+        meshgrid), and the CSV is streamed one grid row at a time.
+        """
+        ny, nx = self.shape
+        xs, ys = ([f"{v!r}," for v in a.tolist()] for a in self.axes())
+        with open(csv_path, "w") as fh:
+            fh.write("x,y,u\n")
+            for iy, row in enumerate(self.mask):
+                cols = np.flatnonzero(row)
+                fh.writelines(map("{}{}{!r}\n".format, [xs[i] for i in cols.tolist()],
+                                  itertools.repeat(ys[iy], len(cols)),
+                                  self.values[iy, cols].tolist()))
+        chars = np.where(self.mask, b"1", b"0").tobytes().decode()
         hdr = {
             "x0": self.x0, "y0": self.y0, "h": self.h, "shape": list(self.shape),
             "kind": self.kind, "disk": list(self.disk_spec) if self.disk_spec else None,
-            "mask": ["".join("1" if v else "0" for v in row) for row in self.mask],
+            "mask": [chars[i:i + nx] for i in range(0, ny * nx, nx)],
             "tie_node": self.tie_node.tolist(), "tie_inner": self.tie_inner.tolist(),
             "tie_tau": self.tie_tau.tolist(), "tie_len": self.tie_len.tolist(),
             "tie_bc": self.tie_bc.tolist(),
         }
+        # the bytes of json.dumps(hdr, sort_keys=True), one key at a time:
+        # json.dumps without indent runs the C encoder (json.dump never does),
+        # which holds every small chunk of its output until it joins them
         with open(header_path, "w") as fh:
-            json.dump(hdr, fh, sort_keys=True, indent=1)
+            fh.write("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(hdr[k])}"
+                                     for k in sorted(hdr)) + "}")
 
     @staticmethod
     def load(csv_path, header_path) -> "GraphPatch":
+        """Read a patch written by `save`; a CSV whose row count is not the
+        mask's node count raises ValueError."""
         with open(header_path) as fh:
             hdr = json.load(fh)
-        mask = np.array([[c == "1" for c in row] for row in hdr["mask"]], dtype=bool)
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        rows = hdr["mask"]
+        mask = (np.frombuffer("".join(rows).encode(), dtype=np.uint8)
+                == ord("1")).reshape(len(rows), -1)
+        u = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=2, ndmin=1)
         values = np.full(mask.shape, np.nan)
-        values[mask] = data[:, 2]
+        values[mask] = u
         return GraphPatch(hdr["x0"], hdr["y0"], hdr["h"], mask, values, hdr["kind"],
                           tuple(hdr["disk"]) if hdr["disk"] else None,
                           np.asarray(hdr["tie_node"], dtype=int).reshape(-1, 2),

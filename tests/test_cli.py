@@ -211,6 +211,19 @@ class TestBlowup:
         report = json.loads((outdir / "blowup_report.json").read_text())
         assert report["selection"]["q_n"] == [16, 16]
 
+    def test_truncated_patch_exit_one(self, tmp_path):
+        _, solved = run(tmp_path, "solve", dict(SOLVE_CFG, h=1.0 / 16.0), out="solved")
+        csv = solved / "solution.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        csv.write_text("".join(lines[:-1]))
+        cfg = {
+            "patch": {"load": {"csv": str(csv),
+                               "header": str(solved / "solution_header.json")}},
+            "radius": 0.6,
+        }
+        code, _ = run(tmp_path, "blowup", cfg, out="from_load")
+        assert code == 1
+
 
 SCALED_CAP = {  # R*H0 = 0.7 at length scale 1e-4
     "relation": {"kind": "cmc", "h0": 1e4},

@@ -657,15 +657,71 @@ class TestRescaling:
         assert np.allclose(centers, centers[0], rtol=1e-12, atol=0.0)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_same_patch(a, b):
+    """Every field of two patches equal, floats bit for bit."""
+    assert (a.x0, a.y0, a.h, a.kind, a.disk_spec) == (b.x0, b.y0, b.h, b.kind, b.disk_spec)
+    assert np.array_equal(a.mask, b.mask)
+    assert np.array_equal(_bits(a.values[a.mask]), _bits(b.values[b.mask]))
+    assert np.isnan(a.values[~a.mask]).all() and np.isnan(b.values[~b.mask]).all()
+    for name in ("tie_node", "tie_inner"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("tie_tau", "tie_len", "tie_bc"):
+        assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
+
+
 class TestPatchIO:
     def test_save_load_roundtrip(self, tmp_path):
-        out = solved_cap(1 / 16)
+        solved = solved_cap(1 / 16).final_patch
+        extreme = solved.copy()
+        sel = solved.mask
+        extreme.values[sel] = np.resize([-0.0, 5e-324, 1e308, -1e-300, 1.0 / 3.0], sel.sum())
+        X, Y = solved.xy()
+        for patch in (solved, extreme):
+            csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
+            patch.save(csv, hdr)
+            _assert_same_patch(GraphPatch.load(csv, hdr), patch)
+            # the columns a plain reader of the CSV sees are the grid's own bits
+            rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            expect = np.column_stack([X[sel], Y[sel], patch.values[sel]])
+            assert np.array_equal(_bits(rows), _bits(expect))
+
+    def test_loads_fixed_width_format(self, tmp_path):
+        """Patches written as `%.18e` rows and an indented header load to the
+        same bits as the shortest-decimal, compact files `save` writes."""
+        patch = solved_cap(1 / 16).final_patch
+        X, Y = patch.xy()
+        sel = patch.mask
+        old_csv, old_hdr = tmp_path / "old.csv", tmp_path / "old.json"
+        np.savetxt(old_csv, np.column_stack([X[sel], Y[sel], patch.values[sel]]), fmt="%.18e",
+                   delimiter=",", header="x,y,u", comments="")
+        hdr = {
+            "x0": patch.x0, "y0": patch.y0, "h": patch.h, "shape": list(patch.shape),
+            "kind": patch.kind, "disk": list(patch.disk_spec),
+            "mask": ["".join("1" if v else "0" for v in row) for row in patch.mask],
+            "tie_node": patch.tie_node.tolist(), "tie_inner": patch.tie_inner.tolist(),
+            "tie_tau": patch.tie_tau.tolist(), "tie_len": patch.tie_len.tolist(),
+            "tie_bc": patch.tie_bc.tolist(),
+        }
+        with open(old_hdr, "w") as fh:
+            json.dump(hdr, fh, sort_keys=True, indent=1)
+        csv, new_hdr = tmp_path / "u.csv", tmp_path / "u.json"
+        patch.save(csv, new_hdr)
+        text = new_hdr.read_text()
+        assert json.loads(text) == hdr
+        assert text == json.dumps(hdr, sort_keys=True)
+        _assert_same_patch(GraphPatch.load(old_csv, old_hdr), GraphPatch.load(csv, new_hdr))
+
+    def test_missing_row_raises(self, tmp_path):
         csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
-        out.final_patch.save(csv, hdr)
-        back = GraphPatch.load(csv, hdr)
-        assert back.h == out.final_patch.h
-        assert np.array_equal(back.mask, out.final_patch.mask)
-        assert np.allclose(back.values[back.mask], out.final_patch.values[out.final_patch.mask])
+        solved_cap(1 / 16).final_patch.save(csv, hdr)
+        lines = csv.read_text().splitlines(keepends=True)
+        csv.write_text("".join(lines[:5] + lines[6:]))
+        with pytest.raises(ValueError):
+            GraphPatch.load(csv, hdr)
 
     @pytest.mark.parametrize("kind", ["rectangle", "disk"])
     @pytest.mark.parametrize("data", ["constant", "affine"])
