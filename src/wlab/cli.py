@@ -19,9 +19,8 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,6 @@ class ExperimentConfig:
     params: dict
     out_dir: Path
     seed: int
-    threads: int = field(default_factory=lambda: int(os.environ.get("WLAB_THREADS", "1")))
 
     def __post_init__(self):
         if not isinstance(self.params, dict):
@@ -71,7 +69,6 @@ class ExperimentConfig:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         payload = dict(payload)
         payload["seed"] = self.seed
-        payload["threads"] = self.threads
         with open(self.out_dir / name, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -69,32 +69,18 @@ HALF_LINE = Interval(0.0, math.inf)
 # Scalar functions
 # ---------------------------------------------------------------------------
 
-# name -> params -> (value, derivative) callables, both numpy-vectorized
-_CLOSED_FORMS: dict = {}
-
-
-def _register(name):
-    def wrap(builder):
-        _CLOSED_FORMS[name] = builder
-        return builder
-    return wrap
-
-
-@_register("constant")
 def _build_constant(p):
     c = float(p["value"])
     return (lambda x: np.full_like(np.asarray(x, dtype=float), c),
             lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
-@_register("affine")
 def _build_affine(p):
     a, b = float(p["intercept"]), float(p["slope"])
     return (lambda x: a + b * np.asarray(x, dtype=float),
             lambda x: np.full_like(np.asarray(x, dtype=float), b))
 
 
-@_register("mobius")
 def _build_mobius(p):
     # (delta - alpha*x) / (alpha + beta*x); derivative -(alpha^2+beta*delta)/(alpha+beta*x)^2
     al, be, de = float(p["alpha"]), float(p["beta"]), float(p["delta"])
@@ -103,7 +89,6 @@ def _build_mobius(p):
             lambda x: -disc / (al + be * np.asarray(x, dtype=float)) ** 2)
 
 
-@_register("sqrt_offset")
 def _build_sqrt_offset(p):
     # scale*sqrt(x + offset) + shift; derivative diverges at x = -offset
     c, e, d = float(p["scale"]), float(p["offset"]), float(p["shift"])
@@ -113,6 +98,11 @@ def _build_sqrt_offset(p):
             return c / (2.0 * np.sqrt(np.asarray(x, dtype=float) + e))
 
     return (lambda x: c * np.sqrt(np.asarray(x, dtype=float) + e) + d, deriv)
+
+
+# name -> params -> (value, derivative) callables, both numpy-vectorized
+_CLOSED_FORMS = {"constant": _build_constant, "affine": _build_affine,
+                 "mobius": _build_mobius, "sqrt_offset": _build_sqrt_offset}
 
 
 def _check_domain(domain: Interval, x, what: str):

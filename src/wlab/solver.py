@@ -21,10 +21,9 @@ iterations; the old factor is freed first.  The rules count iterations and
 residuals and read no clock, so reruns are identical.
 
 Rectangle domains carry Dirichlet values on the outer node ring.  Disk
-domains are masked out of a uniform grid; the in-domain ring next to the
-circle ("cut" nodes) is tied to the prescribed boundary data by linear
-interpolation along the grid direction that exits the domain soonest, which
-keeps the overall scheme second order.
+domains are masked out of a uniform grid, and the in-domain ring next to the
+circle ("cut" nodes) is tied to the boundary data by the rule of
+`GraphPatch._build_disk_ties`.
 
 Also here: the norm of the second fundamental form per node, the intrinsic
 h-function maximizer used by blow-up arguments (h = |sigma| * distance to
@@ -65,6 +64,7 @@ FORCING_MAX = 0.1            # loosest relative residual a Newton step asks of G
 BoundaryData = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 _NEIGHBORS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+_DY, _DX = np.array(_NEIGHBORS8).T
 # (dy, dx) of the 9-point stencil, in the order of the coefficients in _System.jacobian
 _STENCIL9 = [(0, 1), (0, -1), (1, 0), (-1, 0), (0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)]
 
@@ -156,7 +156,8 @@ class GraphPatch:
     @staticmethod
     def disk(center: tuple, radius: float, h: float, boundary: BoundaryData = 0.0,
              init: BoundaryData = 0.0) -> "GraphPatch":
-        """Masked disk domain with the center snapped onto a grid node."""
+        """Masked disk domain with the center snapped onto a grid node; its
+        cut nodes are tied to the circle by `_build_disk_ties`."""
         cx, cy = (float(v) for v in center)
         n = int(math.ceil(radius / h))
         x0, y0 = cx - n * h, cy - n * h
@@ -171,55 +172,56 @@ class GraphPatch:
         return patch
 
     def _build_disk_ties(self, bc: Callable):
+        """Tie the cut nodes (in-domain but not interior) to the circle.
+
+        A direction (dy, dx) of `_NEIGHBORS8` is a candidate for a cut node
+        when the next node that way is outside the mask, the node opposite
+        (the inner node) is inside, and the ray that way meets the circle at
+        a distance tau with -1e-12 step <= tau <= step (1 + 1e-9), step being
+        the length h |(dx, dy)| of one grid step.  If a candidate has tau < 0,
+        the last such one in `_NEIGHBORS8` order wins, else the first with the
+        least tau: a scan in that order that takes a candidate whose tau is
+        below max(best tau, 0).  The node is tied by u = w u_inner + (1 - w)
+        bc(b), w = tau / (tau + step), at the crossing b with tau clamped at
+        0, and seeded with bc(b); this linear interpolation keeps the scheme
+        second order.  A cut node without a candidate (an isolated sliver) is
+        pinned to bc at the radially nearest circle point.
+        """
         cx, cy, R = self.disk_spec
         cut = np.argwhere(self.boundary_mask())
-        nodes, inners, taus, lens_, bcs = [], [], [], [], []
-        ny, nx = self.shape
-        for iy, ix in cut:
-            px = self.x0 + ix * self.h - cx
-            py = self.y0 + iy * self.h - cy
-            best = None
-            for dy, dx in _NEIGHBORS8:
-                jy, jx = iy + dy, ix + dx
-                outside = not (0 <= jy < ny and 0 <= jx < nx) or not self.mask[jy, jx]
-                if not outside:
-                    continue
-                ky, kx = iy - dy, ix - dx
-                if not (0 <= ky < ny and 0 <= kx < nx) or not self.mask[ky, kx]:
-                    continue
-                step = self.h * math.hypot(dx, dy)
-                ux, uy = dx / math.hypot(dx, dy), dy / math.hypot(dx, dy)
-                pd = px * ux + py * uy
-                disc = pd * pd - (px * px + py * py - R * R)
-                if disc < 0.0:
-                    continue
-                tau = -pd + math.sqrt(disc)
-                if tau < -1e-12 * step or tau > step * (1.0 + 1e-9):
-                    continue
-                if best is None or tau < best[0]:
-                    bx = cx + px + max(tau, 0.0) * ux
-                    by = cy + py + max(tau, 0.0) * uy
-                    best = (max(tau, 0.0), step, (ky, kx), (bx, by))
-            if best is None:
-                # isolated sliver: pin to the radially nearest circle point
-                rho = math.hypot(px, py)
-                scale = R / rho if rho > 0 else 1.0
-                self.values[iy, ix] = float(np.asarray(bc(cx + px * scale, cy + py * scale)))
-                continue
-            tau, step, inner, (bx, by) = best
-            nodes.append((iy, ix))
-            inners.append(inner)
-            taus.append(tau)
-            lens_.append(step)
-            bcs.append(float(np.asarray(bc(bx, by))))
-        self.tie_node = np.asarray(nodes, dtype=int).reshape(-1, 2)
-        self.tie_inner = np.asarray(inners, dtype=int).reshape(-1, 2)
-        self.tie_tau = np.asarray(taus, dtype=float)
-        self.tie_len = np.asarray(lens_, dtype=float)
-        self.tie_bc = np.asarray(bcs, dtype=float)
+        iy, ix = cut.T
+        px = self.x0 + ix * self.h - cx
+        py = self.y0 + iy * self.h - cy
+        # (cut node, direction) lookups in the mask padded by one outside node
+        inside = np.pad(self.mask, 1)
+        oy, ox = iy[:, None] + 1, ix[:, None] + 1
+        hyp = np.hypot(_DX, _DY)
+        step, ux, uy = self.h * hyp, _DX / hyp, _DY / hyp
+        pd = px[:, None] * ux + py[:, None] * uy
+        disc = pd * pd - (px * px + py * py - R * R)[:, None]
+        with np.errstate(invalid="ignore"):
+            tau = -pd + np.sqrt(disc)
+        cand = (~inside[oy + _DY, ox + _DX] & inside[oy - _DY, ox - _DX]
+                & ~(disc < 0.0) & ~(tau < -1e-12 * step) & ~(tau > step * (1.0 + 1e-9)))
+        neg = cand & (tau < 0.0)
+        best = np.where(neg.any(axis=1), len(_NEIGHBORS8) - 1 - np.argmax(neg[:, ::-1], axis=1),
+                        np.argmin(np.where(cand, tau, np.inf), axis=1))
+        tied = cand.any(axis=1)
+        k = best[tied]
+        t = np.maximum(tau[tied, k], 0.0)
+        self.tie_node = cut[tied]
+        self.tie_inner = self.tie_node - np.column_stack([_DY[k], _DX[k]])
+        self.tie_tau = t
+        self.tie_len = step[k]
+        self.tie_bc = np.asarray(bc(cx + px[tied] + t * ux[k], cy + py[tied] + t * uy[k]),
+                                 dtype=float)
         # seed cut values from the boundary data so the initial guess is usable
-        if len(nodes):
-            self.values[self.tie_node[:, 0], self.tie_node[:, 1]] = self.tie_bc
+        self.values[iy[tied], ix[tied]] = self.tie_bc
+        # math.hypot: np.hypot rounds about one point in 500 differently
+        spx, spy = px[~tied], py[~tied]
+        rho = np.fromiter(map(math.hypot, spx.tolist(), spy.tolist()), float, spx.size)
+        scale = np.divide(R, rho, out=np.ones_like(rho), where=rho > 0)
+        self.values[iy[~tied], ix[~tied]] = bc(cx + spx * scale, cy + spy * scale)
 
     # -- I/O ---------------------------------------------------------------
 
@@ -473,34 +475,25 @@ class _System:
         self.g = g_of(rel)
         self.patch = patch
         self.h = patch.h
-        self.interior = patch.interior_mask()
-        self.iy, self.ix = np.nonzero(self.interior)
-        ny, nx = patch.shape
-        self.index = np.full((ny, nx), -1, dtype=int)
-        n_int = self.iy.size
-        self.index[self.iy, self.ix] = np.arange(n_int)
-        self.tied = patch.tie_node
-        n_tie = self.tied.shape[0]
-        if n_tie:
-            self.index[self.tied[:, 0], self.tied[:, 1]] = n_int + np.arange(n_tie)
-        self.n = n_int + n_tie
-        self.n_int = n_int
-        self.order = nested_dissection(np.concatenate([self.iy, self.tied[:, 0]]),
-                                       np.concatenate([self.ix, self.tied[:, 1]]))
+        # the unknowns: interior nodes, then tied cut nodes (none on a rectangle)
+        self.iy, self.ix = np.nonzero(patch.interior_mask())
+        self.n_int = self.iy.size
+        self.nodes = (np.concatenate([self.iy, patch.tie_node[:, 0]]),
+                      np.concatenate([self.ix, patch.tie_node[:, 1]]))
+        self.n = self.nodes[0].size
+        self.index = np.full(patch.shape, -1, dtype=int)
+        self.index[self.nodes] = np.arange(self.n)
+        self.tie_inner = (patch.tie_inner[:, 0], patch.tie_inner[:, 1])
+        self.tie_weight = patch.tie_tau / (patch.tie_tau + patch.tie_len)
+        self.order = nested_dissection(*self.nodes)
         self._jacobian_pattern()
 
     def unknowns(self, values: np.ndarray) -> np.ndarray:
-        z = np.empty(self.n)
-        z[:self.n_int] = values[self.iy, self.ix]
-        if self.tied.shape[0]:
-            z[self.n_int:] = values[self.tied[:, 0], self.tied[:, 1]]
-        return z
+        return values[self.nodes]
 
     def insert(self, values: np.ndarray, z: np.ndarray) -> np.ndarray:
         out = values.copy()
-        out[self.iy, self.ix] = z[:self.n_int]
-        if self.tied.shape[0]:
-            out[self.tied[:, 0], self.tied[:, 1]] = z[self.n_int:]
+        out[self.nodes] = z
         return out
 
     def residual(self, values: np.ndarray, with_gradient: bool = False):
@@ -516,18 +509,11 @@ class _System:
                                                    with_gradient)
         F, grads = (res if with_gradient else (res, None))
         w3 = 2.0 * (1.0 + p * p + q * q) ** 1.5
-        F_vec = np.empty(self.n)
-        work = np.empty(self.n)
-        F_vec[:self.n_int] = F
-        work[:self.n_int] = w3 * F
-        if self.tied.shape[0]:
-            pt = self.patch
-            u_c = values[self.tied[:, 0], self.tied[:, 1]]
-            u_i = values[pt.tie_inner[:, 0], pt.tie_inner[:, 1]]
-            wgt = pt.tie_tau / (pt.tie_tau + pt.tie_len)
-            tie = u_c - (wgt * u_i + (1.0 - wgt) * pt.tie_bc)
-            F_vec[self.n_int:] = tie
-            work[self.n_int:] = tie
+        wgt = self.tie_weight
+        tie = (values[self.nodes[0][self.n_int:], self.nodes[1][self.n_int:]]
+               - (wgt * values[self.tie_inner] + (1.0 - wgt) * self.patch.tie_bc))
+        F_vec = np.concatenate([F, tie])
+        work = np.concatenate([w3 * F, tie])
         slope = float(np.max(np.abs(np.concatenate([p, q])))) if p.size else 0.0
         if not with_gradient:
             return F_vec, work, slope
@@ -565,13 +551,10 @@ class _System:
         tied node and its inner node, with constant values `_tie_vals`."""
         cols = np.stack([self.index[self.iy + dy, self.ix + dx] for dy, dx in _STENCIL9], axis=1)
         self._keep = cols >= 0
-        pt = self.patch
-        n_tie = self.tied.shape[0]
-        tie_cols = np.column_stack([self.index[self.tied[:, 0], self.tied[:, 1]],
-                                    self.index[pt.tie_inner[:, 0], pt.tie_inner[:, 1]]])
+        tie_cols = np.column_stack([np.arange(self.n_int, self.n), self.index[self.tie_inner]])
         tie_keep = tie_cols >= 0
-        w = pt.tie_tau / (pt.tie_tau + pt.tie_len)
-        self._tie_vals = np.column_stack([np.ones(n_tie), -w])[tie_keep]
+        w = self.tie_weight
+        self._tie_vals = np.column_stack([np.ones_like(w), -w])[tie_keep]
         # 32-bit indices, which scipy would pick anyway, so no step copies them
         self._indices = np.concatenate([cols[self._keep], tie_cols[tie_keep]]).astype(np.int32)
         counts = np.concatenate([self._keep.sum(axis=1), tie_keep.sum(axis=1)])

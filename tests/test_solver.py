@@ -207,6 +207,15 @@ class TestNewton:
         assert out.residual_sup == pytest.approx(0.5)
         assert np.array_equal(out.final_patch.values, patch.values, equal_nan=True)
 
+    def test_singular_jacobian_is_a_line_search_failure(self, monkeypatch):
+        def all_zero(J, *args, **kwargs):
+            # the real linear solve, handed an exactly singular Jacobian
+            return spsolve(sp.csr_matrix(J.shape), *args, **kwargs)
+
+        monkeypatch.setattr(solver, "spsolve", all_zero)
+        out = newton_solve(CMC(0.5), GraphPatch.disk((0.0, 0.0), 1.0, 1 / 16), tol_res=1e-10)
+        assert out.status == "line_search_failure" and out.iterations == 0 and out.history == []
+
     def test_non_finite_step_is_a_line_search_failure(self, monkeypatch):
         calls = []
 
@@ -354,11 +363,18 @@ class TestLinearSolve:
         assert factor.pivoted
         assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
         assert np.allclose(x, [1.0, 1.0], rtol=1e-12, atol=0.0)
+        x, factor = solver._factor(J, b, np.arange(2))
+        assert factor.pivoted and solver._solves_to_limit(J, x, b)
+        assert np.allclose(x, [1.0, 1.0], rtol=1e-12, atol=0.0)
 
     def test_singular_raises(self):
-        J = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(RuntimeError):
-            spsolve(J, np.ones(2), np.arange(2))
+        # [[1, 1], [1, 1]] reaches the pivoted fallback, which is singular too
+        for rows in ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            J = sp.csr_matrix(np.array(rows))
+            with pytest.raises(RuntimeError):
+                spsolve(J, np.ones(2), np.arange(2))
+            with pytest.raises(RuntimeError):
+                solver._factor(J, np.array([1.0, 2.0]), np.arange(2))
 
 
 class TestSigmaField:
@@ -671,6 +687,104 @@ def _assert_same_patch(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("tie_tau", "tie_len", "tie_bc"):
         assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
+
+
+def _loop_disk(center, radius, h, boundary, seen):
+    """`GraphPatch.disk` as it was built by a Python scan over each cut node
+    and direction: the reference the array builder matches bit for bit.
+    `seen` counts the candidates with tau < 0 ("negative") and the slivers."""
+    cx, cy = (float(v) for v in center)
+    n = int(math.ceil(radius / h))
+    x0, y0 = cx - n * h, cy - n * h
+    size = 2 * n + 1
+    mask = np.zeros((size, size), dtype=bool)
+    patch = GraphPatch(x0, y0, h, mask, np.zeros((size, size)), "disk", (cx, cy, radius))
+    X, Y = patch.xy()
+    rho2 = (X - cx) ** 2 + (Y - cy) ** 2
+    patch.mask = rho2 <= radius * radius * (1.0 + 1e-12)
+    patch.values = np.where(patch.mask, np.asarray(solver._as_bc(0.0)(X, Y), dtype=float), np.nan)
+    bc = solver._as_bc(boundary)
+    R = radius
+    cut = np.argwhere(patch.boundary_mask())
+    nodes, inners, taus, lens_, bcs = [], [], [], [], []
+    ny, nx = patch.shape
+    for iy, ix in cut:
+        px = patch.x0 + ix * patch.h - cx
+        py = patch.y0 + iy * patch.h - cy
+        best = None
+        for dy, dx in solver._NEIGHBORS8:
+            jy, jx = iy + dy, ix + dx
+            outside = not (0 <= jy < ny and 0 <= jx < nx) or not patch.mask[jy, jx]
+            if not outside:
+                continue
+            ky, kx = iy - dy, ix - dx
+            if not (0 <= ky < ny and 0 <= kx < nx) or not patch.mask[ky, kx]:
+                continue
+            step = patch.h * math.hypot(dx, dy)
+            ux, uy = dx / math.hypot(dx, dy), dy / math.hypot(dx, dy)
+            pd = px * ux + py * uy
+            disc = pd * pd - (px * px + py * py - R * R)
+            if disc < 0.0:
+                continue
+            tau = -pd + math.sqrt(disc)
+            if tau < -1e-12 * step or tau > step * (1.0 + 1e-9):
+                continue
+            seen["negative"] += int(tau < 0.0)
+            if best is None or tau < best[0]:
+                bx = cx + px + max(tau, 0.0) * ux
+                by = cy + py + max(tau, 0.0) * uy
+                best = (max(tau, 0.0), step, (ky, kx), (bx, by))
+        if best is None:
+            # isolated sliver: pin to the radially nearest circle point
+            seen["sliver"] += 1
+            rho = math.hypot(px, py)
+            scale = R / rho if rho > 0 else 1.0
+            patch.values[iy, ix] = float(np.asarray(bc(cx + px * scale, cy + py * scale)))
+            continue
+        tau, step, inner, (bx, by) = best
+        nodes.append((iy, ix))
+        inners.append(inner)
+        taus.append(tau)
+        lens_.append(step)
+        bcs.append(float(np.asarray(bc(bx, by))))
+    patch.tie_node = np.asarray(nodes, dtype=int).reshape(-1, 2)
+    patch.tie_inner = np.asarray(inners, dtype=int).reshape(-1, 2)
+    patch.tie_tau = np.asarray(taus, dtype=float)
+    patch.tie_len = np.asarray(lens_, dtype=float)
+    patch.tie_bc = np.asarray(bcs, dtype=float)
+    if len(nodes):
+        patch.values[patch.tie_node[:, 0], patch.tie_node[:, 1]] = patch.tie_bc
+    return patch
+
+
+def _tie_sweep():
+    """(center, radius, h) of random disks, of disks shaped like the
+    benchmark's over-wide solve (h = R/24), of disks narrower than 1.5 h, and
+    of disks whose radius is a Pythagorean hypotenuse k h, so that grid nodes
+    lie on the circle.  Shrunk by 4e-13, those nodes stay inside the mask
+    tolerance but outside the circle and become slivers; around (0.79, -0.2)
+    np.hypot and math.hypot round the radius of one of them differently."""
+    rng = np.random.default_rng(20)
+    disks = [(tuple(rng.uniform(-1.0, 1.0, 2)), r, r / rng.uniform(3.0, 30.0))
+             for r in rng.uniform(0.05, 1.5, 120)]
+    disks += [((0.0, 0.0), r, r / 24.0) for r in rng.uniform(0.9, 1.1, 60)]
+    disks += [(tuple(rng.uniform(-1.0, 1.0, 2)), r, r / rng.uniform(0.5, 1.5))
+              for r in rng.uniform(0.05, 1.5, 10)]
+    disks += [(center, k * h * shrink, h) for h in (1 / 10, 1 / 24) for k in (5, 13, 25, 29)
+              for center in ((0.0, 0.0), (0.3, -0.7), (0.79, -0.2)) for shrink in (1.0, 1.0 - 4e-13)]
+    return disks
+
+
+class TestDiskTies:
+    def test_array_builder_matches_the_loop(self):
+        seen = {"negative": 0, "sliver": 0}
+        affine = lambda x, y: 0.1 + 0.2 * x - 0.3 * y
+        for center, radius, h in _tie_sweep():
+            for bc in (0.25, affine):
+                _assert_same_patch(GraphPatch.disk(center, radius, h, boundary=bc),
+                                   _loop_disk(center, radius, h, bc, seen))
+        # both edge rules of the tie choice are exercised
+        assert seen["negative"] > 0 and seen["sliver"] > 0, seen
 
 
 class TestPatchIO:
