@@ -213,12 +213,12 @@ def _cmd_parallel(cfg: ExperimentConfig) -> int:
     }
     pairs = cfg.params.get("pairs")
     if pairs:
-        rows = []
-        for k1, k2 in pairs:
-            new_pair, factors = geometry.parallel_curvatures(geometry.CurvaturePair(k1, k2), a)
-            rows.append([k1, k2, new_pair.k1, new_pair.k2, factors[0], factors[1]])
+        ks = np.asarray(pairs, dtype=float)
+        if ks.ndim != 2 or ks.shape[1] != 2:
+            raise ValueError(f"'pairs' must be a list of [k1, k2] rows, got shape {ks.shape}")
+        rows = np.column_stack([ks, *geometry.parallel_curvatures(ks, a)])
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        np.savetxt(cfg.out_dir / "parallel_pairs.csv", np.asarray(rows), delimiter=",",
+        np.savetxt(cfg.out_dir / "parallel_pairs.csv", rows, delimiter=",",
                    header="k1,k2,k1_offset,k2_offset,metric_factor_1,metric_factor_2", comments="")
         payload["pairs_written"] = len(rows)
     cfg.write_summary("parallel_report.json", payload)

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshError, RelationError
-from .geometry import CurvaturePair
 from .jets import h2_minus_k, mean_gauss
 from .relation import ScalarFunction
 
@@ -217,13 +216,14 @@ def beltrami_of_metric(E, F, G):
     return rho, mu
 
 
-def gauss_beltrami_ratio(pair: CurvaturePair) -> float:
+def gauss_beltrami_ratio(k1: float, k2: float) -> float:
     """((k1 + k2)/(k1 - k2))^2, the squared Beltrami ratio of the projected
-    Gauss map in a conformal parameter; infinite at umbilics."""
-    diff = pair.k1 - pair.k2
+    Gauss map in a conformal parameter; symmetric in k1 and k2, infinite at
+    umbilics."""
+    diff = k1 - k2
     if diff == 0.0:
         return math.inf
-    return ((pair.k1 + pair.k2) / diff) ** 2
+    return ((k1 + k2) / diff) ** 2
 
 
 # ---------------------------------------------------------------------------

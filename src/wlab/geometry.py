@@ -1,11 +1,10 @@
 """Exact and ODE-generated test surfaces.
 
-Parallel (offset) surfaces transform principal curvatures by the Mobius map
-k -> k/(1 - a*k); conjugating a relation by that map gives the relation its
-offsets satisfy.  Rotational profiles are generated by integrating the
-relation's first-order system in arclength: the meridian curvature is the
-tangent-angle rate and the parallel curvature is sin(theta)/r, and the
-relation ties one to the other.
+Offsetting by a maps principal curvatures by k -> k/(1 - a*k) (`f_a`);
+conjugating a relation by that map gives the relation the offsets satisfy.
+Rotational profiles integrate the relation's first-order system in
+arclength: the meridian curvature is the tangent-angle rate, the parallel
+curvature is sin(theta)/r, and the relation ties one to the other.
 """
 
 from __future__ import annotations
@@ -25,20 +24,6 @@ POLE_GUARD = 1.0e-9
 AXIS_RADIUS = 1.0e-6
 DEFAULT_STEP = 1.0e-3
 PERIOD_TOL = 1.0e-4      # miss distance of a phase-space return in detect_period
-
-
-@dataclass(frozen=True)
-class CurvaturePair:
-    """Ordered principal curvature pair, k1 >= k2."""
-
-    k1: float
-    k2: float
-
-    def __post_init__(self):
-        if self.k2 > self.k1:
-            hi, lo = self.k2, self.k1
-            object.__setattr__(self, "k1", hi)
-            object.__setattr__(self, "k2", lo)
 
 
 @dataclass(frozen=True)
@@ -78,21 +63,25 @@ def f_a(t, a: float):
     return t / den
 
 
-def parallel_curvatures(pair: CurvaturePair, a: float):
-    """Principal curvatures of the offset at distance a, reordered, together
-    with the metric degeneration factors (1 - a*k)^2 aligned to the output
-    components."""
-    out = []
-    for name, k in (("k1", pair.k1), ("k2", pair.k2)):
-        try:
-            kt = float(f_a(k, a))
-        except DomainError:
-            raise DomainError(f"offset pole at principal curvature {name} = {k}") from None
-        den = 1.0 - a * k
-        out.append((kt, den * den))
-    out.sort(key=lambda kv: -kv[0])
-    new_pair = CurvaturePair(out[0][0], out[1][0])
-    return new_pair, (out[0][1], out[1][1])
+def parallel_curvatures(pairs, a: float):
+    """Principal curvatures of the offsets at distance a of N curvature pairs.
+
+    `pairs` is an (N, 2) array of (k1, k2) rows in any order within a row; a
+    single [k1, k2] is one row.  Returns two (N, 2) arrays: the offset
+    curvatures, each row ordered k1 >= k2, and the metric degeneration
+    factors (1 - a*k)^2 aligned to them.  A curvature on the pole raises
+    DomainError naming its column (k1 or k2) and its row.
+    """
+    ks = np.atleast_2d(np.asarray(pairs, dtype=float))
+    try:
+        kt = f_a(ks, a)
+    except DomainError as exc:
+        row, col = exc.index
+        raise DomainError(f"offset pole at principal curvature k{col + 1} = {ks[row, col]} "
+                          f"(pair {row})", exc.index) from None
+    den = 1.0 - a * ks
+    order = np.argsort(-kt, axis=1, kind="stable")
+    return np.take_along_axis(kt, order, 1), np.take_along_axis(den * den, order, 1)
 
 
 def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
@@ -115,8 +104,6 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
         R = np.array([[1.0, 0.0], [a, 1.0]])
         Mt = L @ M @ R
         al2, be2, de2 = -Mt[0, 0], Mt[1, 0], Mt[0, 1]
-        if be2 < 0.0 or (be2 == 0.0 and al2 < 0.0):
-            al2, be2, de2 = -al2, -be2, -de2
         if abs(be2) < 1e-14 * max(abs(al2), 1.0):
             return CMC(de2 / (2.0 * al2))
         return LinearWeingarten(float(al2), float(be2), float(de2))
@@ -141,10 +128,13 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     # d/dx F_a(x) = 1/(1-a x)^2; chain rule along the parametrization by x
     dxt = 1.0 / (1.0 - a * xs) ** 2
     dyt = dys / (1.0 - a * ys) ** 2
-    if not (np.all(np.diff(xt) > 0) or np.all(np.diff(xt) < 0)):
-        raise RelationError("sampled domain crosses the conjugation pole; shrink the grid")
-    order = np.argsort(xt)
-    return FForm(SampledHermite(xt[order], yt[order], (dyt / dxt)[order]))
+    # F_a increases on each side of its pole, so xt falls only where xs crosses it
+    fall = np.flatnonzero(np.diff(xt) <= 0)
+    if fall.size:
+        raise RelationError(
+            f"conjugation by a = {a:.9g} crosses the pole x = 1/a = {1.0 / a:.9g}: "
+            f"the first sample past it is x = {xs[fall[0] + 1]:.9g}")
+    return FForm(SampledHermite(xt, yt, dyt / dxt))
 
 
 # ---------------------------------------------------------------------------

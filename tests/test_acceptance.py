@@ -17,7 +17,7 @@ from conftest import (centered_bump, cylinder_patch, make_cylinder_mesh, make_fl
 from wlab import cli
 from wlab.diagram import (CurvatureDiagram, gamma_mu, gamma_to_wedge, mesh_diagram, mu_gamma,
                           qc_classify)
-from wlab.geometry import (CurvaturePair, conjugate_relation, detect_period, f_a,
+from wlab.geometry import (conjugate_relation, detect_period, f_a,
                            offset_profile, parallel_curvatures, rotational_profile)
 from wlab.jets import Jet2, curvatures_of_jet, h2k_eigenvalues, mean_gauss, q4, q4_rewritten
 from wlab.linop import cylinder_operator, variation_derivatives, variation_rhs_fields
@@ -191,10 +191,10 @@ def test_criterion_06_parallel_surface_algebra():
         off = offset_profile(prof, 0.4)
         km_fd = planar_curvature_5pt(off.r, off.z, prof.s[1] - prof.s[0])
         kp_geom = np.sin(off.theta) / off.r
-        expect, _ = parallel_curvatures(CurvaturePair(1.0, 0.0), 0.4)
+        k1, k2 = parallel_curvatures([1.0, 0.0], 0.4)[0][0]
         m = np.isfinite(km_fd)
-        assert np.max(np.abs(kp_geom - expect.k1)) < 1e-6
-        assert np.max(np.abs(km_fd[m] - expect.k2)) < 1e-6
+        assert np.max(np.abs(kp_geom - k1)) < 1e-6
+        assert np.max(np.abs(km_fd[m] - k2)) < 1e-6
 
 
 def test_criterion_07_rotational_generator():

@@ -125,6 +125,17 @@ class TestDiagram:
         report = json.loads((outdir / "diagram_report.json").read_text())
         assert report["qc"]["classification"] == "negative_branch"
 
+    def test_pairs_csv_same_as_inline_pairs(self, tmp_path):
+        pairs = [[2.0, -1.0], [1.0, -0.5]]
+        csv = tmp_path / "pairs.csv"
+        csv.write_text("k1,k2\n" + "".join(f"{k1!r},{k2!r}\n" for k1, k2 in pairs))
+        code, inline = run(tmp_path, "diagram", {"pairs": pairs}, out="inline")
+        assert code == 0
+        code, from_csv = run(tmp_path, "diagram", {"pairs_csv": str(csv)}, out="from_csv")
+        assert code == 0
+        for name in ("diagram_report.json", "diagram.csv"):
+            assert (from_csv / name).read_bytes() == (inline / name).read_bytes()
+
     def test_missing_mesh_exit_one(self, tmp_path):
         code, _ = run(tmp_path, "diagram", {"mesh": str(tmp_path / "ghost.obj")})
         assert code == 1
@@ -285,6 +296,8 @@ def reports_domain_violation(outdir):
 
 
 # (command, config builder, exit code, check of the outputs)
+# a = 0.25 keeps every curvature above off the pole 1/a = 4
+PARALLEL_CFG = {"relation": CMC_REL, "a": 0.25}
 EXIT_CODES = {
     "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
     "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
@@ -300,6 +313,10 @@ EXIT_CODES = {
     "scalar_patch_solve": ("blowup", lambda tmp: {"patch": {"solve": 5}, "radius": 0.5}, 1, None),
     "empty_center": ("blowup", lambda tmp: {"patch": {"solve": dict(SOLVE_CFG, h=0.25)},
                                             "center": {}, "radius": 0.5}, 1, None),
+    "flat_pairs": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[1, 2]), 1, None),
+    "triple_pair": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[[1, 2, 3]]), 1, None),
+    "quadruple_pair": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[[1, 2, 3, 4]]), 1, None),
+    "ragged_pairs": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[[1, 2], [3]]), 1, None),
 }
 
 

@@ -13,7 +13,6 @@ from wlab.diagram import (FIT_BLOCK, FIT_COND_LIMIT, CurvatureDiagram, PhiRegion
                           gamma_to_wedge, gauss_beltrami_ratio, load_obj, mesh_diagram, mu_gamma,
                           qc_classify, region_membership)
 from wlab.errors import MeshError, RelationError
-from wlab.geometry import CurvaturePair
 from wlab.jets import mean_gauss
 from wlab.relation import ClosedForm, GForm, Interval, SampledHermite, certify_ellipticity, g_to_f
 
@@ -257,13 +256,13 @@ class TestBeltrami:
 
 class TestGaussBeltramiRatio:
     def test_minimal_zero(self):
-        assert gauss_beltrami_ratio(CurvaturePair(1.0, -1.0)) == 0.0
+        assert gauss_beltrami_ratio(1.0, -1.0) == 0.0
 
     def test_cylinder_one(self):
-        assert gauss_beltrami_ratio(CurvaturePair(2.0, 0.0)) == 1.0
+        assert gauss_beltrami_ratio(2.0, 0.0) == 1.0
 
     def test_umbilic_infinite(self):
-        assert gauss_beltrami_ratio(CurvaturePair(0.5, 0.5)) == math.inf
+        assert gauss_beltrami_ratio(0.5, 0.5) == math.inf
 
     @staticmethod
     def discrete_ratio(g, h):
@@ -284,7 +283,7 @@ class TestGaussBeltramiRatio:
         num, den = self.discrete_ratio(g, h)
         ratio = num / den
         k1 = 1.0 / np.cosh(v[1:-1, 1:-1]) ** 2
-        exact = np.array([gauss_beltrami_ratio(CurvaturePair(k, -k)) for k in k1.ravel()[:5]])
+        exact = np.array([gauss_beltrami_ratio(k, -k) for k in k1.ravel()[:5]])
         assert np.max(np.abs(exact)) == 0.0
         assert np.max(ratio) < 1e-3
 
@@ -297,7 +296,7 @@ class TestGaussBeltramiRatio:
         g = (N[..., 0] + 1.0j * N[..., 1]) / (1.0 - N[..., 2])
         num, den = self.discrete_ratio(g, h)
         ratio = num / den
-        exact = gauss_beltrami_ratio(CurvaturePair(1.0, 0.0))
+        exact = gauss_beltrami_ratio(1.0, 0.0)
         assert np.max(np.abs(ratio - exact)) < 1e-3
 
 

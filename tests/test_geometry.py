@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from conftest import planar_curvature_5pt
 from wlab import geometry
 from wlab.errors import DomainError, RelationError
-from wlab.geometry import (CurvaturePair, ParallelParams, ProfileCurve, conjugate_relation,
+from wlab.geometry import (ParallelParams, ProfileCurve, conjugate_relation,
                            detect_period, f_a, offset_profile, parallel_curvatures,
                            rotational_profile, angle_function)
 from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
@@ -45,22 +45,34 @@ class TestMobiusTransform:
 
 class TestParallelCurvatures:
     def test_cylinder_to_negative_cmc(self):
-        pair, factors = parallel_curvatures(CurvaturePair(2.0, 0.0), 1.0)
-        assert (pair.k1, pair.k2) == (0.0, -2.0)
-        assert factors == (1.0, 1.0)
+        pair, factors = parallel_curvatures([2.0, 0.0], 1.0)
+        assert pair.tolist() == [[0.0, -2.0]]
+        assert factors.tolist() == [[1.0, 1.0]]
 
     def test_umbilic_stays_umbilic(self):
-        pair, _ = parallel_curvatures(CurvaturePair(0.5, 0.5), 0.7)
-        assert pair.k1 == pair.k2
+        pair, _ = parallel_curvatures([0.5, 0.5], 0.7)
+        assert pair[0, 0] == pair[0, 1]
 
     def test_zero_distance_identity(self):
-        pair, factors = parallel_curvatures(CurvaturePair(1.3, -0.2), 0.0)
-        assert (pair.k1, pair.k2) == (1.3, -0.2)
-        assert factors == (1.0, 1.0)
+        pair, factors = parallel_curvatures([1.3, -0.2], 0.0)
+        assert pair.tolist() == [[1.3, -0.2]]
+        assert factors.tolist() == [[1.0, 1.0]]
 
     def test_pole_named(self):
         with pytest.raises(DomainError, match="k1"):
-            parallel_curvatures(CurvaturePair(2.0, 1.0), 0.5)
+            parallel_curvatures([2.0, 1.0], 0.5)
+        with pytest.raises(DomainError, match=r"k2 = 2.0 \(pair 1\)"):
+            parallel_curvatures([[3.0, 1.0], [0.0, 2.0]], 0.5)
+
+    def test_rows_ordered_with_aligned_factors(self):
+        ks = np.array([[0.0, 2.0], [-1.3, 0.7], [0.5, 0.5], [2.0, 0.0]])
+        a = 0.3
+        kt, factors = parallel_curvatures(ks, a)
+        assert np.all(kt[:, 0] >= kt[:, 1])
+        for row, out, fac in zip(ks, kt, factors):
+            for k in row:
+                j = int(np.flatnonzero(out == f_a(k, a))[0])
+                assert fac[j] == (1.0 - a * k) ** 2
 
     def test_back_and_forth_identity(self, rng):
         checked = 0
@@ -69,12 +81,12 @@ class TestParallelCurvatures:
             a = rng.uniform(-1.5, 1.5)
             if min(abs(1 - a * k1), abs(1 - a * k2)) < 0.1:
                 continue
-            fwd, _ = parallel_curvatures(CurvaturePair(k1, k2), a)
-            if min(abs(1 + a * fwd.k1), abs(1 + a * fwd.k2)) < 0.1:
+            fwd, _ = parallel_curvatures([k1, k2], a)
+            if np.min(np.abs(1 + a * fwd)) < 0.1:
                 continue
             back, _ = parallel_curvatures(fwd, -a)
-            assert back.k1 == pytest.approx(max(k1, k2), abs=1e-12)
-            assert back.k2 == pytest.approx(min(k1, k2), abs=1e-12)
+            assert back[0, 0] == pytest.approx(max(k1, k2), abs=1e-12)
+            assert back[0, 1] == pytest.approx(min(k1, k2), abs=1e-12)
             checked += 1
 
     def test_params_margin(self):
@@ -136,13 +148,40 @@ class TestConjugation:
         err = np.abs(np.asarray(conj.f(fx[inside])) - xs[inside])
         assert np.max(err / (1.0 + np.abs(xs[inside]))) < 1e-8
 
+    @pytest.mark.parametrize("a", [0.001, -0.002])
+    def test_g_form_conjugation_round_trips(self, a):
+        # a g-form is conjugated on the breakpoints of g_to_f's default grid
+        rel = GForm(ClosedForm("sqrt_offset", {"scale": 0.5, "offset": 1.0, "shift": 0.0}))
+        base = g_to_f(rel).f
+        back = conjugate_relation(conjugate_relation(rel, a), -a).f
+        for name in ("breakpoints", "values", "derivatives"):
+            np.testing.assert_allclose(getattr(back, name), getattr(base, name),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_g_form_grid_across_the_pole_rejected(self):
+        # g_to_f's default grid reaches x ~ 150, past the pole 1/a = 5
+        rel = GForm(ClosedForm("sqrt_offset", {"scale": 0.5, "offset": 1.0, "shift": 0.0}))
+        with pytest.raises(RelationError, match=r"pole x = 1/a = 5: .* x = 5\.0"):
+            conjugate_relation(rel, 0.2)
+
+    @pytest.mark.parametrize("a", [0.01, 0.02])
+    def test_closed_form_sampling_matches_linear_map(self, a):
+        ff = FForm(ClosedForm("mobius", {"alpha": 1.0, "beta": 0.5, "delta": 1.0},
+                              Interval(-1.5, 30.0)))
+        sampled = conjugate_relation(ff, a).f
+        exact = f_function(conjugate_relation(LinearWeingarten(1.0, 0.5, 1.0), a))
+        lo = max(sampled.domain.lo, exact.domain.lo)
+        hi = min(sampled.domain.hi, exact.domain.hi)
+        xs = np.linspace(lo, hi, 1001)[1:-1]
+        np.testing.assert_allclose(np.asarray(sampled(xs)), np.asarray(exact(xs)), rtol=1e-6)
+
     def test_cylinder_cross_check(self):
         # the cylinder pair (2, 0) of CMC(1) maps, at a = 1, to the pair
         # (0, -2) of the conjugated class CMC(-1)
         conj = conjugate_relation(CMC(1.0), 1.0)
-        pair, _ = parallel_curvatures(CurvaturePair(2.0, 0.0), 1.0)
+        k1, k2 = parallel_curvatures([2.0, 0.0], 1.0)[0][0]
         f2 = f_function(conj)
-        assert float(np.asarray(f2(pair.k1))) == pytest.approx(pair.k2, abs=1e-12)
+        assert float(np.asarray(f2(k1))) == pytest.approx(k2, abs=1e-12)
 
 
 class _Stop(Exception):
@@ -378,8 +417,8 @@ class TestPoleRule:
             prof = ProfileCurve(np.array([0.0, 0.1]), np.array([1.0, 1.0]), np.zeros(2),
                                 np.full(2, math.pi / 2), np.array(kappa_m), np.array(kappa_p))
             assert self.rejects(offset_profile, prof, a) == expected
-        assert self.rejects(parallel_curvatures, CurvaturePair(k, -3.0 / a), a) == expected
-        assert self.rejects(parallel_curvatures, CurvaturePair(5.0 / a, k), a) == expected
+        assert self.rejects(parallel_curvatures, [k, -3.0 / a], a) == expected
+        assert self.rejects(parallel_curvatures, [5.0 / a, k], a) == expected
 
 
 class TestAngleFunction:

@@ -239,6 +239,17 @@ class TestBoundedBranchFamily:
         assert rep.bounded_branch == branch
         assert (not rep.If_domain.is_full_line) == (branch != "neither")
 
+    @pytest.mark.parametrize("scale,shift", [(1.0, 0.2), (-1.0, 0.3)])
+    def test_sampled_g_finds_the_closed_form_branch(self, scale, shift):
+        # a sampled g is classified by its tail, not by name
+        closed = ClosedForm("sqrt_offset", {"scale": scale, "offset": 0.5, "shift": shift})
+        ts = np.concatenate([[0.0], np.logspace(-6, 4, 2000)])
+        rel = GForm(SampledHermite(ts, np.asarray(closed(ts)), np.asarray(closed.derivative(ts))))
+        rep = certify_ellipticity(rel)
+        assert rep.bounded_branch == certify_ellipticity(GForm(closed)).bounded_branch
+        end = rep.If_domain.lo if scale > 0 else rep.If_domain.hi
+        assert end == pytest.approx(shift, abs=5e-3)
+
 
 class TestScalarFunctions:
     def test_hermite_no_extrapolation(self):

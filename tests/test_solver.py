@@ -598,10 +598,10 @@ class TestRescaling:
                                                                abs=1e-12)
 
     def test_umbilical_scales(self):
-        rel = LinearWeingarten(0.0, 1.0, 1.0)
         lam = 2.5
-        assert umbilical_constant(rescale_relation(rel, lam)) == pytest.approx(
-            umbilical_constant(rel) / lam, rel=1e-12)
+        for rel in (LinearWeingarten(0.0, 1.0, 1.0), GForm(ClosedForm("constant", {"value": 0.7}))):
+            assert umbilical_constant(rescale_relation(rel, lam)) == pytest.approx(
+                umbilical_constant(rel) / lam, rel=1e-12)
 
     def test_sampled_g_rescale(self):
         base = g_of(CMC(1.0))
