@@ -128,12 +128,16 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     # d/dx F_a(x) = 1/(1-a x)^2; chain rule along the parametrization by x
     dxt = 1.0 / (1.0 - a * xs) ** 2
     dyt = dys / (1.0 - a * ys) ** 2
-    # F_a increases on each side of its pole, so xt falls only where xs crosses it
-    fall = np.flatnonzero(np.diff(xt) <= 0)
-    if fall.size:
+    # F_a increases on each side of its pole, so the conjugate is a relation
+    # only while the samples x and their values f(x) stay on one side of it;
+    # a crossing in x is named before one in f(x)
+    side = 1.0 - a * np.column_stack([xs, ys]) > 0.0
+    cross = np.argwhere((side[1:] != side[:-1]).T)
+    if cross.size:
+        col, k = cross[0] + (0, 1)
         raise RelationError(
-            f"conjugation by a = {a:.9g} crosses the pole x = 1/a = {1.0 / a:.9g}: "
-            f"the first sample past it is x = {xs[fall[0] + 1]:.9g}")
+            f"conjugation by a = {a:.9g} crosses the pole {('x', 'f(x)')[col]} = 1/a = "
+            f"{1.0 / a:.9g}: the first sample past it is x = {xs[k]:.9g}, f(x) = {ys[k]:.9g}")
     return FForm(SampledHermite(xt, yt, dyt / dxt))
 
 

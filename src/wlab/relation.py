@@ -13,12 +13,12 @@ passes is "grid-elliptic" and the report records the grid used.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, EllipticityError, RelationError
 
@@ -71,22 +71,23 @@ HALF_LINE = Interval(0.0, math.inf)
 
 def _build_constant(p):
     c = float(p["value"])
-    return (lambda x: np.full_like(np.asarray(x, dtype=float), c),
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    return ((lambda x: c, lambda x: np.full_like(x, c)),
+            (lambda x: 0.0, np.zeros_like))
 
 
 def _build_affine(p):
     a, b = float(p["intercept"]), float(p["slope"])
-    return (lambda x: a + b * np.asarray(x, dtype=float),
-            lambda x: np.full_like(np.asarray(x, dtype=float), b))
+    value = lambda x: a + b * x
+    return (value, value), (lambda x: b, lambda x: np.full_like(x, b))
 
 
 def _build_mobius(p):
     # (delta - alpha*x) / (alpha + beta*x); derivative -(alpha^2+beta*delta)/(alpha+beta*x)^2
     al, be, de = float(p["alpha"]), float(p["beta"]), float(p["delta"])
     disc = al * al + be * de
-    return (lambda x: (de - al * np.asarray(x, dtype=float)) / (al + be * np.asarray(x, dtype=float)),
-            lambda x: -disc / (al + be * np.asarray(x, dtype=float)) ** 2)
+    value = lambda x: (de - al * x) / (al + be * x)
+    deriv = lambda x: -disc / ((al + be * x) * (al + be * x))
+    return (value, value), (deriv, deriv)
 
 
 def _build_sqrt_offset(p):
@@ -95,12 +96,13 @@ def _build_sqrt_offset(p):
 
     def deriv(x):
         with np.errstate(divide="ignore"):
-            return c / (2.0 * np.sqrt(np.asarray(x, dtype=float) + e))
+            return c / (2.0 * np.sqrt(x + e))
 
-    return (lambda x: c * np.sqrt(np.asarray(x, dtype=float) + e) + d, deriv)
+    return ((lambda x: c * math.sqrt(x + e) + d, lambda x: c * np.sqrt(x + e) + d),
+            (lambda x: c / (2.0 * math.sqrt(x + e)), deriv))
 
 
-# name -> params -> (value, derivative) callables, both numpy-vectorized
+# name -> params -> (value, derivative), each a pair (float path, array path)
 _CLOSED_FORMS = {"constant": _build_constant, "affine": _build_affine,
                  "mobius": _build_mobius, "sqrt_offset": _build_sqrt_offset}
 
@@ -119,17 +121,35 @@ def _check_domain(domain: Interval, x, what: str):
             f"[{domain.lo:g}, {domain.hi:g}] ({np.count_nonzero(bad)} offending points)", index)
 
 
+def _evaluate(paths, x):
+    on_float, on_array = paths
+    if type(x) is float:
+        try:
+            return on_float(x)
+        except (ArithmeticError, ValueError):
+            pass    # a zero divisor or a negative root: numpy's inf or nan
+    return on_array(np.asarray(x, dtype=float))
+
+
 class _Evaluated:
-    """The one evaluation path of a scalar function: check the domain, then
-    call the stored value (`_fn`) or derivative (`_dfn`) function."""
+    """The one evaluation path of a scalar function, for both input kinds.
+
+    One domain rule, `_check_domain`, holds for a Python float and for
+    anything else (arrays, numpy scalars).  Past it, a Python float is
+    evaluated with float arithmetic and `math`, and anything else with
+    numpy, by the same expression in the same operation order, so the two
+    give the same bits.  A float that float arithmetic cannot take (a zero
+    divisor or a negative square root at a domain end) goes the numpy way,
+    which returns inf or nan there.  `_value` and `_deriv` each hold the
+    pair (float path, array path)."""
 
     def __call__(self, x):
         _check_domain(self.domain, x, self._what)
-        return self._fn(x)
+        return _evaluate(self._value, x)
 
     def derivative(self, x):
         _check_domain(self.domain, x, self._what + " derivative")
-        return self._dfn(x)
+        return _evaluate(self._deriv, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +163,9 @@ class ClosedForm(_Evaluated):
     def __post_init__(self):
         if self.name not in _CLOSED_FORMS:
             raise RelationError(f"unknown closed form {self.name!r}")
-        fn, dfn = _CLOSED_FORMS[self.name](self.params)
-        object.__setattr__(self, "_fn", fn)
-        object.__setattr__(self, "_dfn", dfn)
+        value, deriv = _CLOSED_FORMS[self.name](self.params)
+        object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "_deriv", deriv)
         object.__setattr__(self, "_what", f"closed form {self.name!r}")
 
     def to_json(self) -> dict:
@@ -153,13 +173,50 @@ class ClosedForm(_Evaluated):
                 "domain": self.domain.to_json()}
 
 
+def _piecewise_cubic(xs: np.ndarray, coef: np.ndarray) -> tuple:
+    """(float path, array path) of the piecewise polynomial that is
+    sum_k coef[k, i] * s**(3-k), s = x - xs[i], on [xs[i], xs[i+1]); the last
+    interval is closed, and the end cubics extend past both ends.
+
+    The sum runs as scipy's PPoly does: ((c3 + c2*s) + c1*s**2) + c0*(s**2*s),
+    with the powers by repeated multiplication; a float finds its interval
+    by bisection on a list, an array by `searchsorted`.  The float path's
+    lists (about 4.5 MB at 20k breakpoints) are made by its first call, so
+    a function evaluated only on arrays never holds them."""
+    last = xs.size - 2
+    xl = rows = None
+
+    def on_float(v):
+        nonlocal xl, rows
+        if xl is None:
+            xl, rows = xs.tolist(), coef.T.tolist()
+        i = bisect.bisect_right(xl, v) - 1
+        i = 0 if i < 0 else (last if i > last else i)
+        c0, c1, c2, c3 = rows[i]
+        s = v - xl[i]
+        s2 = s * s
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+
+    def on_array(v):
+        i = np.clip(np.searchsorted(xs, v, "right") - 1, 0, last)
+        c0, c1, c2, c3 = coef[:, i]
+        s = v - xs[i]
+        s2 = s * s
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+
+    return on_float, on_array
+
+
 @dataclass(frozen=True, eq=False)
 class SampledHermite(_Evaluated):
     """C1 cubic Hermite interpolant through (breakpoints, values, derivatives).
 
-    Evaluation outside [breakpoints[0], breakpoints[-1]] raises DomainError;
-    within DOMAIN_TOL of an end the end cubic is evaluated, as a closed form
-    evaluates its formula there."""
+    The domain is [breakpoints[0], breakpoints[-1]], under the same rule for
+    a Python float and for an array: evaluation outside it, beyond
+    DOMAIN_TOL, raises DomainError, and within DOMAIN_TOL of an end the end
+    cubic is evaluated, as a closed form evaluates its formula there.  The
+    cubics have scipy's CubicHermiteSpline coefficients and are summed in
+    its order, so values and derivatives equal its bits."""
 
     breakpoints: np.ndarray
     values: np.ndarray
@@ -174,13 +231,24 @@ class SampledHermite(_Evaluated):
             raise RelationError("SampledHermite needs three equal-length 1-d arrays")
         if not np.all(np.diff(xs) > 0):
             raise RelationError("SampledHermite breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys)) and np.all(np.isfinite(dys))):
+            # a ValueError, as scipy's spline raised here: the CLI exits 1 on it
+            raise ValueError("SampledHermite needs finite breakpoints, values and derivatives")
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "values", ys)
         object.__setattr__(self, "derivatives", dys)
         object.__setattr__(self, "domain", Interval(float(xs[0]), float(xs[-1])))
-        spline = CubicHermiteSpline(xs, ys, dys)
-        object.__setattr__(self, "_fn", spline)
-        object.__setattr__(self, "_dfn", spline.derivative())
+        dx = np.diff(xs)
+        slope = np.diff(ys) / dx
+        w = (dys[:-1] + dys[1:] - 2.0 * slope) / dx
+        c0, c1, c2 = w / dx, (slope - dys[:-1]) / dx - w, dys[:-1]
+        # scipy's sums start from 0.0, which turns a constant term -0.0 into
+        # 0.0, so no sum is -0.0; the derivative is scipy's (3 c0, 2 c1, c2)
+        # with a zero cubic term, whose +-0.0 then changes no bit
+        value = np.stack([c0, c1, c2, ys[:-1] + 0.0])
+        deriv = np.stack([np.zeros_like(c0), 3.0 * c0, 2.0 * c1, c2 + 0.0])
+        object.__setattr__(self, "_value", _piecewise_cubic(xs, value))
+        object.__setattr__(self, "_deriv", _piecewise_cubic(xs, deriv))
         object.__setattr__(self, "_what", "sampled function")
 
     def to_json(self) -> dict:

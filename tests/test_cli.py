@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wlab
 from conftest import make_icosphere, write_obj
 from wlab.cli import main
 
@@ -298,6 +303,10 @@ def reports_domain_violation(outdir):
 # (command, config builder, exit code, check of the outputs)
 # a = 0.25 keeps every curvature above off the pole 1/a = 4
 PARALLEL_CFG = {"relation": CMC_REL, "a": 0.25}
+# its values f(x) run from 58 down through the pole 1/a = 10 at a = 0.1
+MOBIUS_TO_POLE = {"kind": "f", "function": {"kind": "closed", "name": "mobius",
+                                            "params": {"alpha": 1.0, "beta": 0.5, "delta": 1.0},
+                                            "domain": [-1.9, 5.0]}}
 EXIT_CODES = {
     "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
     "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
@@ -317,6 +326,8 @@ EXIT_CODES = {
     "triple_pair": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[[1, 2, 3]]), 1, None),
     "quadruple_pair": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[[1, 2, 3, 4]]), 1, None),
     "ragged_pairs": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[[1, 2], [3]]), 1, None),
+    "conjugate_values_cross_pole": ("parallel", lambda tmp: {"relation": MOBIUS_TO_POLE, "a": 0.1},
+                                    2, None),
 }
 
 
@@ -359,3 +370,14 @@ class TestConfigHandling:
         _, outdir = run(tmp_path, "certify", {"relation": CMC_REL})
         assert (outdir / "run_stamp.txt").exists()
         assert "stamp" not in (outdir / "certify_report.json").read_text()
+
+
+def test_cli_import_loads_no_scipy_interpolate():
+    # scipy.interpolate adds 0.3-0.5 s to the start-up of every wlab process
+    src = str(Path(wlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, wlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

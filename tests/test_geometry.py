@@ -164,6 +164,14 @@ class TestConjugation:
         with pytest.raises(RelationError, match=r"pole x = 1/a = 5: .* x = 5\.0"):
             conjugate_relation(rel, 0.2)
 
+    def test_values_across_the_pole_rejected(self):
+        # x stays below 1/a = 10, but f(x) falls from 58 at x = -1.9 through 10
+        ff = FForm(ClosedForm("mobius", {"alpha": 1.0, "beta": 0.5, "delta": 1.0},
+                              Interval(-1.9, 5.0)))
+        with pytest.raises(RelationError, match=r"pole f\(x\) = 1/a = 10: .* x = -1\.49\d*, "
+                                                r"f\(x\) = 9\.99"):
+            conjugate_relation(ff, 0.1)
+
     @pytest.mark.parametrize("a", [0.01, 0.02])
     def test_closed_form_sampling_matches_linear_map(self, a):
         ff = FForm(ClosedForm("mobius", {"alpha": 1.0, "beta": 0.5, "delta": 1.0},

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from wlab.errors import DomainError, EllipticityError, RelationError
-from wlab.relation import (CMC, DOMAIN_TOL, ClosedForm, FForm, FULL_LINE, GForm, Interval,
-                           LinearWeingarten, SampledHermite, certify_ellipticity,
+from wlab.relation import (CMC, DOMAIN_TOL, ClosedForm, FForm, FULL_LINE, GForm, HALF_LINE,
+                           Interval, LinearWeingarten, SampledHermite, certify_ellipticity,
                            default_t_grid, f_function, f_to_g, g_of, g_to_f,
                            relation_from_json, relation_to_json, umbilical_constant,
                            wedge_for_uniform_minimal)
@@ -19,6 +20,11 @@ def sqrt_rel(scale=1.0, offset=1.0, shift=0.0):
 
 
 MINIMAL_F = FForm(ClosedForm("affine", {"intercept": 0.0, "slope": -1.0}, FULL_LINE))
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
 
 
 class TestCertify:
@@ -261,6 +267,15 @@ class TestScalarFunctions:
         with pytest.raises(DomainError):
             sf(np.array([0.5, -0.1]))
 
+    # a NaN breakpoint fails the increasing check first, with RelationError
+    @pytest.mark.parametrize("column, bad", [(0, math.inf), (1, math.nan), (1, -math.inf),
+                                             (2, math.nan), (2, math.inf)])
+    def test_hermite_rejects_non_finite_samples(self, column, bad):
+        cols = [np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.0]), np.array([-1.0, -1.0, -1.0])]
+        cols[column][-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SampledHermite(*cols)
+
     def test_hermite_reproduces_values_and_slopes(self):
         xs = np.linspace(0.0, 3.0, 30)
         sf = SampledHermite(xs, np.sin(xs), np.cos(xs))
@@ -284,6 +299,49 @@ class TestScalarFunctions:
         with pytest.raises(DomainError, match=r"evaluated at 2 .*\(2 offending points\)") as exc:
             f(np.array([0.5, 2.0, -3.0]))
         assert exc.value.index == (1,)
+        # the same rule, message and index for the float path's functions
+        cases = [(ClosedForm("mobius", {"alpha": 1.0, "beta": 0.5, "delta": 1.0},
+                             Interval(-2.0, math.inf)), "closed form 'mobius'", -2.0),
+                 (ClosedForm("sqrt_offset", {"scale": 0.5, "offset": 1.0, "shift": 0.0}),
+                  "closed form 'sqrt_offset'", 0.0),
+                 (sf, "sampled function", 3.0)]
+        for fn, what, end in cases:
+            outside = end - 2.0 * DOMAIN_TOL if end == fn.domain.lo else end + 2.0 * DOMAIN_TOL
+            for bad in (outside, math.nan, np.float64(outside)):
+                for evaluate, name in ((fn, what), (fn.derivative, what + " derivative")):
+                    with pytest.raises(DomainError, match=f"^{name} evaluated at") as exc:
+                        evaluate(bad)
+                    assert exc.value.index == ()
+            inside = np.float64(0.5 * (max(fn.domain.lo, -5.0) + min(fn.domain.hi, 5.0)))
+            assert fn(inside) == fn(float(inside))
+            assert fn.derivative(inside) == fn.derivative(float(inside))
+
+    def test_float_at_a_domain_end_gets_numpys_inf_or_nan(self):
+        # on Python floats 3/0 at x = -2, c/(2 sqrt(0)) at x = -1 and sqrt(-1e-13) raise
+        mob = ClosedForm("mobius", {"alpha": 1.0, "beta": 0.5, "delta": 1.0}, Interval(-2.0, 5.0))
+        sq = ClosedForm("sqrt_offset", {"scale": 0.5, "offset": 1.0, "shift": 0.0},
+                        Interval(-1.0, 5.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for fn, x in ((mob, -2.0), (sq.derivative, -1.0), (sq, -1.0 - 0.1 * DOMAIN_TOL)):
+                got, want = fn(x), fn(np.array([x]))[0]
+                assert not math.isfinite(got) and np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("name, params, domain", [
+        ("constant", {"value": -0.35}, HALF_LINE),
+        ("affine", {"intercept": 1.3, "slope": -1.0}, FULL_LINE),
+        ("mobius", {"alpha": 0.7, "beta": 1.3, "delta": 0.4}, Interval(-0.7 / 1.3, math.inf)),
+        ("sqrt_offset", {"scale": 0.45, "offset": 0.8, "shift": 0.05}, HALF_LINE),
+    ])
+    def test_closed_form_float_path_equals_the_array_path(self, name, params, domain, rng):
+        fn = ClosedForm(name, params, domain)
+        lo = max(domain.lo, -40.0)
+        xs = np.concatenate([lo + np.logspace(-9, 1.6, 400), rng.uniform(lo, 40.0, 400)])
+        for evaluate in (fn, fn.derivative):
+            floats = [evaluate(float(x)) for x in xs]
+            assert all(type(v) is float for v in floats)
+            arrays = np.array([evaluate(np.array([x]))[0] for x in xs])
+            assert same_bits(floats, arrays)
+            assert same_bits(floats, evaluate(xs))
 
     def test_unknown_closed_form_rejected(self):
         with pytest.raises(RelationError):
@@ -297,6 +355,38 @@ class TestScalarFunctions:
         rel = LinearWeingarten(1.0, -1.0, -1.0)
         assert rel.beta > 0
         assert rel.alpha == -1.0
+
+
+class TestHermiteOracle:
+    """SampledHermite evaluates its cubics itself; scipy's CubicHermiteSpline
+    is the oracle, bit for bit, on the array path and the float path."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_cubic_hermite_spline(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(25):
+            n = 2 if k < 5 else int(rng.integers(3, 60))
+            xs = np.cumsum(rng.uniform(1e-3, 2.0, n)) + rng.normal(0.0, 5.0)
+            ys, dys = rng.normal(0.0, 3.0, n), rng.normal(0.0, 3.0, n)
+            ys[rng.random(n) < 0.1] = -0.0
+            dys[rng.random(n) < 0.1] = -0.0
+            pts = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 200),
+                                  [xs[0] - 1e-13, xs[-1] + 1e-13]])
+            sf = SampledHermite(xs, ys, dys)
+            spline = CubicHermiteSpline(xs, ys, dys)
+            for mine, ref in ((sf, spline), (sf.derivative, spline.derivative())):
+                want = ref(pts)
+                assert same_bits(mine(pts), want)
+                assert same_bits([mine(float(x)) for x in pts], want)
+
+    def test_signed_zeros_sum_as_scipy_does(self):
+        # scipy's sums start from 0.0, so it never returns -0.0
+        xs, zeros = np.array([0.0, 1.0, 2.0]), np.array([-0.0, -0.0, -0.0])
+        pts = np.array([-1e-13, -0.0, 0.0, 0.5, 1.0, 2.0, 2.0 + 1e-13])
+        sf, spline = SampledHermite(xs, zeros, zeros), CubicHermiteSpline(xs, zeros, zeros)
+        for mine, ref in ((sf, spline), (sf.derivative, spline.derivative())):
+            assert same_bits(mine(pts), ref(pts))
+            assert same_bits([mine(float(x)) for x in pts], ref(pts))
 
 
 class TestSerialization:
