@@ -165,7 +165,9 @@ def _cmd_revolve(cfg: ExperimentConfig) -> int:
                                           step=float(cfg.params.get("step", geometry.DEFAULT_STEP)),
                                           s_max=float(cfg.params.get("s_max", 10.0)))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    profile.save_csv(cfg.out_dir / "profile.csv")
+    solver.write_csv(cfg.out_dir / "profile.csv", "s,r,z,theta,kappa_m,kappa_p",
+                     [profile.s, profile.r, profile.z, profile.theta, profile.kappa_m,
+                      profile.kappa_p])
     period = geometry.detect_period(profile)
     cfg.write_summary("revolve_report.json", {
         "check": "rotational_profile_generation",
@@ -190,7 +192,7 @@ def _cmd_diagram(cfg: ExperimentConfig) -> int:
         raise KeyError("diagram config needs 'mesh', 'pairs_csv' or 'pairs'")
     report = diagram_mod.qc_classify(diag)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    diag.save_csv(cfg.out_dir / "diagram.csv")
+    solver.write_csv(cfg.out_dir / "diagram.csv", "k1,k2", diag.samples.T)
     cfg.write_summary("diagram_report.json", {
         "check": "quasiconformality_classification",
         "source": diag.source,
@@ -218,8 +220,8 @@ def _cmd_parallel(cfg: ExperimentConfig) -> int:
             raise ValueError(f"'pairs' must be a list of [k1, k2] rows, got shape {ks.shape}")
         rows = np.column_stack([ks, *geometry.parallel_curvatures(ks, a)])
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        np.savetxt(cfg.out_dir / "parallel_pairs.csv", rows, delimiter=",",
-                   header="k1,k2,k1_offset,k2_offset,metric_factor_1,metric_factor_2", comments="")
+        solver.write_csv(cfg.out_dir / "parallel_pairs.csv",
+                         "k1,k2,k1_offset,k2_offset,metric_factor_1,metric_factor_2", rows.T)
         payload["pairs_written"] = len(rows)
     cfg.write_summary("parallel_report.json", payload)
     return EXIT_OK

@@ -47,9 +47,6 @@ class CurvatureDiagram:
     def scaled(self, lam: float) -> "CurvatureDiagram":
         return CurvatureDiagram(self.samples * lam, self.source, dict(self.notes))
 
-    def save_csv(self, path):
-        np.savetxt(path, self.samples, delimiter=",", header="k1,k2", comments="")
-
 
 # ---------------------------------------------------------------------------
 # Quasiconformality classification

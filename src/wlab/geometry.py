@@ -16,8 +16,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, RelationError
-from .relation import (CMC, FForm, LinearWeingarten, RelationSpec, SampledHermite,
-                       _linear_coefficients, f_function, g_to_f)
+from .relation import (CMC, ClosedForm, FForm, Interval, LinearWeingarten, RelationSpec,
+                       SampledHermite, _linear_coefficients, f_function, g_to_f)
 from .solver import GraphPatch, jet_fields
 
 POLE_GUARD = 1.0e-9
@@ -92,11 +92,16 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     2x2 matrix [[-alpha, delta], [beta, alpha]] by [[1,0],[-a,1]] on the
     left and [[1,0],[a,1]] on the right reads off the new coefficients
     (the quantity alpha^2 + beta*delta is the matrix determinant up to sign
-    and is preserved exactly).
+    and is preserved exactly).  A closed-form `mobius` f on its natural
+    domain [-alpha/beta, inf), beta > 0, is a linear relation's f: same map.
     """
     if a == 0.0:
         return rel
     lin = _linear_coefficients(rel)
+    if isinstance(rel, FForm) and isinstance(rel.f, ClosedForm) and rel.f.name == "mobius":
+        al, be, de = (float(rel.f.params[k]) for k in ("alpha", "beta", "delta"))
+        if be > 0.0 and al * al + be * de > 0.0 and rel.f.domain == Interval(-al / be, math.inf):
+            lin = al, be, de
     if lin is not None:
         al, be, de = lin
         M = np.array([[-al, de], [be, al]])
@@ -162,10 +167,6 @@ class ProfileCurve:
 
     def __len__(self) -> int:
         return self.s.size
-
-    def save_csv(self, path):
-        rows = np.column_stack([self.s, self.r, self.z, self.theta, self.kappa_m, self.kappa_p])
-        np.savetxt(path, rows, delimiter=",", header="s,r,z,theta,kappa_m,kappa_p", comments="")
 
 
 def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STEP,

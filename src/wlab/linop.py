@@ -223,12 +223,12 @@ def cylinder_operator(rel: RelationSpec, r0: float) -> CylinderOperator:
         raise ValueError("cylinder radius must be positive")
     g = g_of(rel)
     H0 = 1.0 / (2.0 * r0)
-    gv = float(np.asarray(g(H0 * H0)))
+    gv = float(g(H0 * H0))
     if abs(gv - H0) > 1e-10:
         raise RelationError(
             f"cylinder of radius {r0} does not satisfy the relation: g(H0^2) = {gv:.12g} "
             f"but H0 = {H0:.12g}")
-    gp = float(np.asarray(g.derivative(H0 * H0)))
+    gp = float(g.derivative(H0 * H0))
     if not math.isfinite(gp):
         raise RelationError("g is not differentiable at the cylinder state")
     A = 0.5 * (1.0 - 2.0 * H0 * gp)

@@ -107,11 +107,20 @@ _CLOSED_FORMS = {"constant": _build_constant, "affine": _build_affine,
                  "mobius": _build_mobius, "sqrt_offset": _build_sqrt_offset}
 
 
-def _check_domain(domain: Interval, x, what: str):
-    """The domain rule of every scalar function: x must lie in `domain` up to
-    DOMAIN_TOL.  Raises DomainError whose `index` is the first offender."""
+def _evaluate(domain: Interval, paths, x, what: str):
+    """The one evaluation rule of every scalar function.  x must lie in
+    `domain` up to DOMAIN_TOL, else DomainError naming `what` has the first
+    offender as its `index`.  `paths` is the pair (float path, array path)
+    of one expression in one operation order, so both give the same bits:
+    an in-domain Python float takes the float path, with float arithmetic
+    and `math`, and anything else (arrays, numpy scalars) the numpy one, as
+    does a float the float path cannot take (a zero divisor or a negative
+    root at a domain end, where numpy returns inf or nan)."""
     if type(x) is float and domain.lo - DOMAIN_TOL <= x <= domain.hi + DOMAIN_TOL:
-        return
+        try:
+            return paths[0](x)
+        except (ArithmeticError, ValueError):
+            return paths[1](np.asarray(x, dtype=float))
     x = np.asarray(x, dtype=float)
     bad = ~domain.contains(x, tol=DOMAIN_TOL)
     if np.any(bad):
@@ -119,37 +128,17 @@ def _check_domain(domain: Interval, x, what: str):
         raise DomainError(
             f"{what} evaluated at {x[index]:.17g} outside domain "
             f"[{domain.lo:g}, {domain.hi:g}] ({np.count_nonzero(bad)} offending points)", index)
-
-
-def _evaluate(paths, x):
-    on_float, on_array = paths
-    if type(x) is float:
-        try:
-            return on_float(x)
-        except (ArithmeticError, ValueError):
-            pass    # a zero divisor or a negative root: numpy's inf or nan
-    return on_array(np.asarray(x, dtype=float))
+    return paths[1](x)
 
 
 class _Evaluated:
-    """The one evaluation path of a scalar function, for both input kinds.
-
-    One domain rule, `_check_domain`, holds for a Python float and for
-    anything else (arrays, numpy scalars).  Past it, a Python float is
-    evaluated with float arithmetic and `math`, and anything else with
-    numpy, by the same expression in the same operation order, so the two
-    give the same bits.  A float that float arithmetic cannot take (a zero
-    divisor or a negative square root at a domain end) goes the numpy way,
-    which returns inf or nan there.  `_value` and `_deriv` each hold the
-    pair (float path, array path)."""
+    """Calls of a scalar function: `_evaluate` on its `_value` or `_deriv`."""
 
     def __call__(self, x):
-        _check_domain(self.domain, x, self._what)
-        return _evaluate(self._value, x)
+        return _evaluate(self.domain, self._value, x, self._what)
 
     def derivative(self, x):
-        _check_domain(self.domain, x, self._what + " derivative")
-        return _evaluate(self._deriv, x)
+        return _evaluate(self.domain, self._deriv, x, self._what + " derivative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,13 +456,13 @@ def _classify_branches_g(g: ScalarFunction, t_hi: float) -> tuple:
             return "neither", FULL_LINE  # both branches diverge (|c| > 1 is not elliptic)
     # sampled or unrecognized closed form: tail heuristic
     t_hi = min(t_hi, g.domain.hi if math.isfinite(g.domain.hi) else t_hi)
-    minus_bounded = _branch_tail_bounded(lambda t: float(np.asarray(g(t))) - math.sqrt(t), t_hi)
-    plus_bounded = _branch_tail_bounded(lambda t: float(np.asarray(g(t))) + math.sqrt(t), t_hi)
+    minus_bounded = _branch_tail_bounded(lambda t: float(g(t)) - math.sqrt(t), t_hi)
+    plus_bounded = _branch_tail_bounded(lambda t: float(g(t)) + math.sqrt(t), t_hi)
     if minus_bounded and not plus_bounded:
-        a = float(np.asarray(g(t_hi))) - math.sqrt(t_hi)
+        a = float(g(t_hi)) - math.sqrt(t_hi)
         return "t_minus_g_bounded", Interval(a, math.inf)
     if plus_bounded and not minus_bounded:
-        b = float(np.asarray(g(t_hi))) + math.sqrt(t_hi)
+        b = float(g(t_hi)) + math.sqrt(t_hi)
         return "t_plus_g_bounded", Interval(-math.inf, b)
     return "neither", FULL_LINE
 
@@ -600,7 +589,7 @@ def _fform_fixed_point(f: ScalarFunction, xs: np.ndarray, fx: np.ndarray) -> Opt
     a, b = float(xs[idx[0]]), float(xs[idx[0] + 1])
     for _ in range(200):
         m = 0.5 * (a + b)
-        if float(np.asarray(f(m))) - m > 0.0:
+        if float(f(m)) - m > 0.0:
             a = m
         else:
             b = m
@@ -619,7 +608,7 @@ def _classify_branches_f(f: ScalarFunction, xs: np.ndarray, fx: np.ndarray) -> t
         return "neither", FULL_LINE
     # sampled function: the window edges are grid artifacts, so decide from
     # quarter-point tail flatness (sqrt-type growth moves O(sqrt(x)) there)
-    feval = lambda x: float(np.asarray(f(x)))
+    feval = lambda x: float(f(x))
     # f -> a at +inf bounds I_f below; f -> b at -inf bounds it above
     lo_bounded = xs[-1] > 1.0 and xs[0] < xs[-1] / 4.0 and _branch_tail_bounded(feval, xs[-1])
     hi_bounded = xs[0] < -1.0 and xs[-1] > xs[0] / 4.0 and _branch_tail_bounded(feval, xs[0])
@@ -723,7 +712,7 @@ def _signed_umbilic(rel: RelationSpec, xs: Optional[np.ndarray] = None,
     relations the fixed point of f bracketed on the samples (xs, fx = f(xs))."""
     if not isinstance(rel, FForm):
         try:
-            return float(np.asarray(g_of(rel)(0.0)))
+            return float(g_of(rel)(0.0))
         except DomainError:
             return None
     if xs is None:

@@ -33,7 +33,6 @@ relations that leaves h invariant.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -226,22 +225,14 @@ class GraphPatch:
     # -- I/O ---------------------------------------------------------------
 
     def save(self, csv_path, header_path):
-        """Write `x,y,u` rows of the masked nodes (row-major) and a JSON header.
-
-        Every float is written as its `repr`, the shortest decimal that parses
-        back to the same double, so a reload restores every value bit for bit.
-        x and y are formatted once per grid column and row (`xy` is a
-        meshgrid), and the CSV is streamed one grid row at a time.
-        """
+        """Write `x,y,u` rows of the masked nodes (row-major) by `write_csv`,
+        x and y formatted once per grid column and row, and a JSON header."""
         ny, nx = self.shape
-        xs, ys = ([f"{v!r}," for v in a.tolist()] for a in self.axes())
-        with open(csv_path, "w") as fh:
-            fh.write("x,y,u\n")
-            for iy, row in enumerate(self.mask):
-                cols = np.flatnonzero(row)
-                fh.writelines(map("{}{}{!r}\n".format, [xs[i] for i in cols.tolist()],
-                                  itertools.repeat(ys[iy], len(cols)),
-                                  self.values[iy, cols].tolist()))
+        xs, ys = (list(map(repr, a.tolist())) for a in self.axes())
+        iy, ix = np.nonzero(self.mask)
+        write_csv(csv_path, "x,y,u", [list(map(xs.__getitem__, ix.tolist())),
+                                      list(map(ys.__getitem__, iy.tolist())),
+                                      self.values[iy, ix]])
         chars = np.where(self.mask, b"1", b"0").tobytes().decode()
         hdr = {
             "x0": self.x0, "y0": self.y0, "h": self.h, "shape": list(self.shape),
@@ -277,6 +268,17 @@ class GraphPatch:
                           np.asarray(hdr["tie_tau"], dtype=float),
                           np.asarray(hdr["tie_len"], dtype=float),
                           np.asarray(hdr["tie_bc"], dtype=float))
+
+
+def write_csv(path, header: str, columns):
+    """Write `header` and one comma-separated row per entry of the equal-length
+    `columns`: float arrays, each entry written as its `repr`, the shortest
+    decimal that parses back to the same double, or lists of strings."""
+    cols = [c if isinstance(c, list) else c.tolist() for c in columns]
+    row = ",".join(["{}"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(row.format, *cols))
 
 
 # ---------------------------------------------------------------------------

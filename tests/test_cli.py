@@ -12,7 +12,9 @@ import pytest
 
 import wlab
 from conftest import make_icosphere, write_obj
-from wlab.cli import main
+from wlab import diagram, geometry
+from wlab.cli import ExperimentConfig, _solve, main
+from wlab.relation import LinearWeingarten, relation_from_json, relation_to_json
 
 
 def run(tmp_path, command, config, out="out", extra=()):
@@ -20,6 +22,16 @@ def run(tmp_path, command, config, out="out", extra=()):
     cfg.write_text(json.dumps(config))
     outdir = tmp_path / out
     return main([command, "--config", str(cfg), "--out", str(outdir), *extra]), outdir
+
+
+def assert_exact_csv(path, columns):
+    """The CSV reloads to `columns` bit for bit, and each field is the
+    shortest decimal of its double."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    expected = np.column_stack(columns)
+    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    fields = ",".join(path.read_text().splitlines()[1:]).split(",")
+    assert all(v == repr(float(v)) for v in fields)
 
 
 CMC_REL = {"kind": "cmc", "h0": 1.0}
@@ -73,8 +85,11 @@ class TestSolve:
         report = json.loads((outdir / "solve_report.json").read_text())
         assert report["outcome"]["status"] == "converged"
         assert abs(report["center_value"] - (math.sqrt(3.0) - 2.0)) < 5e-3
-        assert (outdir / "solution.csv").exists()
         assert (outdir / "solution_header.json").exists()
+        patch = _solve(ExperimentConfig(SOLVE_CFG, outdir, 0))[1].final_patch
+        X, Y = patch.xy()
+        assert_exact_csv(outdir / "solution.csv",
+                         [X[patch.mask], Y[patch.mask], patch.values[patch.mask]])
 
     def test_minimal_affine_quick(self, tmp_path):
         cfg = {"relation": {"kind": "cmc", "h0": 0.0},
@@ -111,6 +126,9 @@ class TestRevolve:
         rows = np.loadtxt(outdir / "profile.csv", delimiter=",", skiprows=1)
         assert rows.shape[1] == 6
         assert np.max(np.abs(rows[:, 4] + rows[:, 5] - 1.0)) < 1e-8
+        p = geometry.rotational_profile(relation_from_json(cfg["relation"]),
+                                        tuple(cfg["seed_state"]), cfg["step"], cfg["s_max"])
+        assert_exact_csv(outdir / "profile.csv", [p.s, p.r, p.z, p.theta, p.kappa_m, p.kappa_p])
 
 
 class TestDiagram:
@@ -123,6 +141,8 @@ class TestDiagram:
         assert report["qc"]["classification"] == "positive_branch"
         rows = np.loadtxt(outdir / "diagram.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(rows - 0.5)) < 0.1
+        diag = diagram.mesh_diagram(diagram.load_obj(obj))
+        assert_exact_csv(outdir / "diagram.csv", [diag.samples])
 
     def test_inline_pairs(self, tmp_path):
         code, outdir = run(tmp_path, "diagram", {"pairs": [[2.0, -1.0], [1.0, -0.5]]})
@@ -148,7 +168,7 @@ class TestDiagram:
 
 class TestParallel:
     def test_cmc_conjugation(self, tmp_path):
-        cfg = {"relation": CMC_REL, "a": 1.0, "pairs": [[2.0, 0.0]]}
+        cfg = {"relation": CMC_REL, "a": 1.0, "pairs": [[2.0, 0.0], [0.3, -1.7]]}
         code, outdir = run(tmp_path, "parallel", cfg)
         assert code == 0
         report = json.loads((outdir / "parallel_report.json").read_text())
@@ -156,6 +176,9 @@ class TestParallel:
         assert report["conjugated"]["h0"] == pytest.approx(-1.0)
         rows = np.loadtxt(outdir / "parallel_pairs.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows[0, 2] == pytest.approx(0.0) and rows[0, 3] == pytest.approx(-2.0)
+        pairs = np.array(cfg["pairs"])
+        assert_exact_csv(outdir / "parallel_pairs.csv",
+                         [pairs, *geometry.parallel_curvatures(pairs, cfg["a"])])
 
     def test_pole_exit_two(self, tmp_path):
         cfg = {"relation": CMC_REL, "a": 0.5, "pairs": [[2.0, 0.0]]}
@@ -293,6 +316,12 @@ def reports_divergence(outdir):
     assert outcome["iterations"] == len(outcome["history"]) < 40
 
 
+def same_conjugate_as_linear(outdir):
+    report = json.loads((outdir / "parallel_report.json").read_text())
+    exact = geometry.conjugate_relation(LinearWeingarten(1.0, 0.5, 1.0), MOBIUS_NATURAL["a"])
+    assert report["conjugated"] == relation_to_json(exact)
+
+
 def reports_domain_violation(outdir):
     outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
     assert outcome["status"] == "domain_violation"
@@ -307,6 +336,10 @@ PARALLEL_CFG = {"relation": CMC_REL, "a": 0.25}
 MOBIUS_TO_POLE = {"kind": "f", "function": {"kind": "closed", "name": "mobius",
                                             "params": {"alpha": 1.0, "beta": 0.5, "delta": 1.0},
                                             "domain": [-1.9, 5.0]}}
+# the f of LinearWeingarten(1, 0.5, 1) on its natural domain: the linear map conjugates it
+MOBIUS_NATURAL = {"relation": dict(MOBIUS_TO_POLE, function=dict(MOBIUS_TO_POLE["function"],
+                                                                 domain=[-2.0, "inf"])),
+                  "a": 0.01}
 EXIT_CODES = {
     "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
     "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
@@ -328,6 +361,8 @@ EXIT_CODES = {
     "ragged_pairs": ("parallel", lambda tmp: dict(PARALLEL_CFG, pairs=[[1, 2], [3]]), 1, None),
     "conjugate_values_cross_pole": ("parallel", lambda tmp: {"relation": MOBIUS_TO_POLE, "a": 0.1},
                                     2, None),
+    "mobius_natural_domain_conjugates": ("parallel", lambda tmp: MOBIUS_NATURAL, 0,
+                                         same_conjugate_as_linear),
 }
 
 
