@@ -16,8 +16,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, RelationError
-from .relation import (CMC, ClosedForm, FForm, Interval, LinearWeingarten, RelationSpec,
-                       SampledHermite, _linear_coefficients, f_function, g_to_f)
+from .relation import (CMC, FForm, LinearWeingarten, RelationSpec, SampledHermite,
+                       _linear_coefficients, f_function, g_to_f, mobius_coefficients)
 from .solver import GraphPatch, jet_fields
 
 POLE_GUARD = 1.0e-9
@@ -93,15 +93,14 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     left and [[1,0],[a,1]] on the right reads off the new coefficients
     (the quantity alpha^2 + beta*delta is the matrix determinant up to sign
     and is preserved exactly).  A closed-form `mobius` f on its natural
-    domain [-alpha/beta, inf), beta > 0, is a linear relation's f: same map.
+    domain (`mobius_coefficients`) is a linear relation's f and takes the
+    same map while beta' > 0; past that, LinearWeingarten's sign flip would
+    make the other branch canonical, so it is sampled like any f.
     """
     if a == 0.0:
         return rel
-    lin = _linear_coefficients(rel)
-    if isinstance(rel, FForm) and isinstance(rel.f, ClosedForm) and rel.f.name == "mobius":
-        al, be, de = (float(rel.f.params[k]) for k in ("alpha", "beta", "delta"))
-        if be > 0.0 and al * al + be * de > 0.0 and rel.f.domain == Interval(-al / be, math.inf):
-            lin = al, be, de
+    mobius = mobius_coefficients(rel)
+    lin = _linear_coefficients(rel) or mobius
     if lin is not None:
         al, be, de = lin
         M = np.array([[-al, de], [be, al]])
@@ -111,7 +110,8 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
         al2, be2, de2 = -Mt[0, 0], Mt[1, 0], Mt[0, 1]
         if abs(be2) < 1e-14 * max(abs(al2), 1.0):
             return CMC(de2 / (2.0 * al2))
-        return LinearWeingarten(float(al2), float(be2), float(de2))
+        if be2 > 0.0 or mobius is None:
+            return LinearWeingarten(float(al2), float(be2), float(de2))
 
     f = f_function(rel)
     if f is None:

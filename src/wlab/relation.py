@@ -376,9 +376,27 @@ def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
         if be == 0.0:
             return ClosedForm("affine", {"intercept": de / al, "slope": -1.0}, FULL_LINE)
         return ClosedForm("mobius", {"alpha": al, "beta": be, "delta": de},
-                          Interval(-al / be, math.inf))
+                          _mobius_domain(al, be))
     if isinstance(rel, FForm):
         return rel.f
+    return None
+
+
+def _mobius_domain(al: float, be: float) -> Interval:
+    # the branch of LinearWeingarten(al, be, de)'s f, beta > 0: right of the pole
+    return Interval(-al / be, math.inf)
+
+
+def mobius_coefficients(rel: RelationSpec) -> Optional[tuple]:
+    """(alpha, beta, delta) when rel is an f-form whose f is the closed-form
+    `mobius` that `f_function(LinearWeingarten(alpha, beta, delta))` builds:
+    beta > 0 and the natural domain; None otherwise."""
+    if not (isinstance(rel, FForm) and isinstance(rel.f, ClosedForm)
+            and rel.f.name == "mobius"):
+        return None
+    al, be, de = (float(rel.f.params[k]) for k in ("alpha", "beta", "delta"))
+    if be > 0.0 and al * al + be * de > 0.0 and rel.f.domain == _mobius_domain(al, be):
+        return al, be, de
     return None
 
 

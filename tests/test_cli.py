@@ -14,7 +14,8 @@ import wlab
 from conftest import make_icosphere, write_obj
 from wlab import diagram, geometry
 from wlab.cli import ExperimentConfig, _solve, main
-from wlab.relation import LinearWeingarten, relation_from_json, relation_to_json
+from wlab.relation import (LinearWeingarten, f_function, relation_from_json,
+                           relation_to_json)
 
 
 def run(tmp_path, command, config, out="out", extra=()):
@@ -322,6 +323,18 @@ def same_conjugate_as_linear(outdir):
     assert report["conjugated"] == relation_to_json(exact)
 
 
+def keeps_offset_branch(outdir):
+    # at a = -0.3 the linear map gives beta' < 0, and LinearWeingarten's sign flip
+    # would make the other branch canonical: the conjugate must hold the offset of
+    # the input's fixed point (-1 + sqrt(1.5))/0.5 and of its domain [-2, inf)
+    report = json.loads((outdir / "parallel_report.json").read_text())
+    f = f_function(relation_from_json(report["conjugated"]))
+    fixed = geometry.f_a((-1.0 + math.sqrt(1.5)) / 0.5, -0.3)
+    assert float(f(fixed)) == pytest.approx(fixed, rel=1e-9)
+    assert f.domain.lo == pytest.approx(geometry.f_a(-2.0, -0.3), rel=1e-4)
+    assert f.domain.hi < 1.0 / 0.3
+
+
 def reports_domain_violation(outdir):
     outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
     assert outcome["status"] == "domain_violation"
@@ -363,6 +376,8 @@ EXIT_CODES = {
                                     2, None),
     "mobius_natural_domain_conjugates": ("parallel", lambda tmp: MOBIUS_NATURAL, 0,
                                          same_conjugate_as_linear),
+    "mobius_natural_domain_keeps_branch": ("parallel", lambda tmp: dict(MOBIUS_NATURAL, a=-0.3),
+                                           0, keeps_offset_branch),
 }
 
 
