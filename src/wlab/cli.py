@@ -36,8 +36,6 @@ EXIT_IO = 1
 EXIT_CERTIFICATION = 2
 EXIT_SOLVER = 3
 
-COMMANDS = ("certify", "solve", "revolve", "diagram", "parallel", "linop", "blowup")
-
 
 @dataclass
 class ExperimentConfig:
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wlab",
         description="Numerical laboratory for elliptic Weingarten surfaces")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")

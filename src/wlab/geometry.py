@@ -92,10 +92,9 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     2x2 matrix [[-alpha, delta], [beta, alpha]] by [[1,0],[-a,1]] on the
     left and [[1,0],[a,1]] on the right reads off the new coefficients
     (the quantity alpha^2 + beta*delta is the matrix determinant up to sign
-    and is preserved exactly).  A closed-form `mobius` f on its natural
-    domain (`mobius_coefficients`) is a linear relation's f and takes the
-    same map while beta' > 0; past that, LinearWeingarten's sign flip would
-    make the other branch canonical, so it is sampled like any f.
+    and is preserved exactly), and so does a `mobius_coefficients` f-form
+    while beta' > 0; past that, LinearWeingarten's sign flip would make the
+    other branch canonical, so it is sampled like any f.
     """
     if a == 0.0:
         return rel
@@ -113,9 +112,7 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
         if be2 > 0.0 or mobius is None:
             return LinearWeingarten(float(al2), float(be2), float(de2))
 
-    f = f_function(rel)
-    if f is None:
-        f = g_to_f(rel).f
+    f = f_function(rel) or g_to_f(rel).f
     if isinstance(f, SampledHermite):
         xs = f.breakpoints
     else:
@@ -180,9 +177,7 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
     when sin(theta)/r leaves the domain of f; the truncated curve records
     the reason.
     """
-    f = f_function(rel)
-    if f is None:
-        f = g_to_f(rel).f
+    f = f_function(rel) or g_to_f(rel).f
 
     def rhs(r, th):
         """(kappa_m, kappa_p) at the state; kappa_m is theta'.  A kappa_p

@@ -376,27 +376,21 @@ def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
         if be == 0.0:
             return ClosedForm("affine", {"intercept": de / al, "slope": -1.0}, FULL_LINE)
         return ClosedForm("mobius", {"alpha": al, "beta": be, "delta": de},
-                          _mobius_domain(al, be))
+                          Interval(-al / be, math.inf))
     if isinstance(rel, FForm):
         return rel.f
     return None
 
 
-def _mobius_domain(al: float, be: float) -> Interval:
-    # the branch of LinearWeingarten(al, be, de)'s f, beta > 0: right of the pole
-    return Interval(-al / be, math.inf)
-
-
 def mobius_coefficients(rel: RelationSpec) -> Optional[tuple]:
-    """(alpha, beta, delta) when rel is an f-form whose f is the closed-form
-    `mobius` that `f_function(LinearWeingarten(alpha, beta, delta))` builds:
-    beta > 0 and the natural domain; None otherwise."""
-    if not (isinstance(rel, FForm) and isinstance(rel.f, ClosedForm)
-            and rel.f.name == "mobius"):
-        return None
-    al, be, de = (float(rel.f.params[k]) for k in ("alpha", "beta", "delta"))
-    if be > 0.0 and al * al + be * de > 0.0 and rel.f.domain == _mobius_domain(al, be):
-        return al, be, de
+    """(alpha, beta, delta) when rel is an f-form whose f is the `mobius` that
+    f_function(LinearWeingarten(alpha, beta, delta)) builds, else None."""
+    f = rel.f if isinstance(rel, FForm) else None
+    if isinstance(f, ClosedForm) and f.name == "mobius":
+        al, be, de = (float(f.params[k]) for k in ("alpha", "beta", "delta"))
+        if al * al + be * de > 0.0 and \
+                f_function(LinearWeingarten(al, be, de)).to_json() == f.to_json():
+            return al, be, de
     return None
 
 
@@ -761,9 +755,7 @@ def wedge_for_uniform_minimal(rel: RelationSpec) -> tuple:
     lam1, lam2 = report.f_slope_bounds
     m1, m2 = -lam2, -lam1
 
-    f = f_function(rel)
-    if f is None:
-        f = g_to_f(rel).f
+    f = f_function(rel) or g_to_f(rel).f
     dom = f.domain
     span = 2.0 / max(lam1, 1e-6)
     lo = max(dom.lo, -span) if math.isfinite(dom.lo) else -span
