@@ -257,14 +257,13 @@ def _cmd_blowup(cfg: ExperimentConfig) -> int:
     if synth:
         sigma = np.where(patch.mask, float(synth.get("base", 1.0)), np.nan)
         for spike in synth.get("spikes", []):
-            iy, ix = (int(v) for v in spike["node"])
+            iy, ix = patch.in_domain_node(spike["node"], "synthetic_sigma spike")
             sigma[iy, ix] += float(spike["amplitude"])
     center = cfg.params.get("center")
     if center is None:
         ny, nx = patch.shape
         center = (ny // 2, nx // 2)
-    iy, ix = (int(v) for v in center)
-    sel = solver.blowup_select(patch, (iy, ix), float(cfg.params["radius"]), sigma_field=sigma)
+    sel = solver.blowup_select(patch, center, float(cfg.params["radius"]), sigma_field=sigma)
     cfg.write_summary("blowup_report.json", {
         "check": "blowup_maximizer_selection",
         "selection": sel.to_json(),

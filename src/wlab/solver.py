@@ -128,6 +128,15 @@ class GraphPatch:
     def boundary_mask(self) -> np.ndarray:
         return self.mask & ~self.interior_mask()
 
+    def in_domain_node(self, node, what: str) -> tuple:
+        """(iy, ix) of `node` as ints; ValueError naming `what` unless it is
+        a grid node inside the domain mask."""
+        iy, ix = (int(v) for v in node)
+        ny, nx = self.shape
+        if not (0 <= iy < ny and 0 <= ix < nx) or not self.mask[iy, ix]:
+            raise ValueError(f"{what} ({iy}, {ix}) is not an in-domain node")
+        return iy, ix
+
     def copy(self) -> "GraphPatch":
         return GraphPatch(self.x0, self.y0, self.h, self.mask.copy(), self.values.copy(),
                           self.kind, self.disk_spec, self.tie_node.copy(), self.tie_inner.copy(),
@@ -720,31 +729,43 @@ def blowup_select(patch: GraphPatch, center: tuple, radius: float,
 
     `center` is a grid node (iy, ix).  Ties break toward the lowest
     row-major node index.  `sigma_field` overrides the patch's own |sigma|
-    (useful for synthetic fields)."""
-    iy0, ix0 = int(center[0]), int(center[1])
-    ny, nx = patch.shape
-    if not (0 <= iy0 < ny and 0 <= ix0 < nx) or not patch.mask[iy0, ix0]:
-        raise ValueError(f"blow-up center {center} is not an in-domain node")
-    d_center = intrinsic_distances(patch, [(iy0, ix0)])
-    in_disk = patch.mask & (d_center <= radius)
-    if not np.any(in_disk):
-        raise ValueError("intrinsic disk is empty")
+    (useful for synthetic fields).
 
+    Every step runs on the grid box of int(radius/h) + 2 nodes around the
+    center, so a blow-up costs O(disk), not O(patch).  An 8-neighbour step
+    is at least h long in the plane and its secant edge is no shorter, so
+    a node more than int(radius/h) steps away is farther than `radius`.
+    One more node absorbs the rounding of the summed edge lengths and one
+    more gives each disk node its 8 neighbours, so the distances, the disk
+    boundary, the jets of |sigma| and the argmax are those of the whole
+    patch, bit for bit."""
+    iy0, ix0 = patch.in_domain_node(center, "blow-up center")
+    if not radius >= 0.0:
+        raise ValueError("intrinsic disk is empty")
+    k = int(min(radius / patch.h, max(patch.shape))) + 2
+    y0, x0 = max(iy0 - k, 0), max(ix0 - k, 0)
+    box = (slice(y0, iy0 + k + 1), slice(x0, ix0 + k + 1))
+    crop = GraphPatch(patch.x0 + x0 * patch.h, patch.y0 + y0 * patch.h, patch.h,
+                      patch.mask[box], patch.values[box])
+    ny, nx = crop.shape
+
+    d_center = intrinsic_distances(crop, [(iy0 - y0, ix0 - x0)])
+    in_disk = crop.mask & (d_center <= radius)
     # disk nodes with a neighbor outside the disk, or on the patch mask edge
-    bd = in_disk & patch.boundary_mask()
+    bd = in_disk & crop.boundary_mask()
     for dy, dx in _NEIGHBORS8:
         a, b = _offset_slices(dy, dx, ny, nx)
         bd[a] |= in_disk[a] & ~in_disk[b]
 
-    d_bd = intrinsic_distances(patch, np.argwhere(bd), within=in_disk)
-    sigma = second_fundamental_norm_field(patch) if sigma_field is None else np.asarray(sigma_field, dtype=float)
+    d_bd = intrinsic_distances(crop, np.argwhere(bd), within=in_disk)
+    sigma = second_fundamental_norm_field(crop) if sigma_field is None else np.asarray(sigma_field, dtype=float)[box]
     with np.errstate(invalid="ignore"):
         hfun = np.where(in_disk & np.isfinite(sigma) & np.isfinite(d_bd), sigma * d_bd, -np.inf)
     flat = int(np.argmax(hfun))
     qy, qx = divmod(flat, nx)
     if not np.isfinite(hfun[qy, qx]):
         raise ValueError("h-function is nowhere finite on the disk")
-    return BlowupSelection((qy, qx), float(sigma[qy, qx]), float(d_bd[qy, qx]),
+    return BlowupSelection((qy + y0, qx + x0), float(sigma[qy, qx]), float(d_bd[qy, qx]),
                            float(hfun[qy, qx]))
 
 

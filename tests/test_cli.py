@@ -251,6 +251,18 @@ class TestBlowup:
         report = json.loads((outdir / "blowup_report.json").read_text())
         assert report["selection"]["q_n"] == [16, 16]
 
+    @pytest.mark.parametrize("node", [[999, 0], [-1, 4], [0, 0]])
+    def test_spike_off_the_domain_exit_one(self, tmp_path, capsys, node):
+        """Off the 9 x 9 grid, wrapping to its last row, or outside the disk."""
+        cfg = {"patch": {"solve": dict(SOLVE_CFG, h=0.25)}, "radius": 0.5,
+               "synthetic_sigma": {"spikes": [{"node": node, "amplitude": 3.0}]}}
+        code, outdir = run(tmp_path, "blowup", cfg)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"wlab: invalid parameter: synthetic_sigma spike ({node[0]}, {node[1]}) " \
+                      "is not an in-domain node\n"
+        assert not (outdir / "blowup_report.json").exists()
+
     def test_truncated_patch_exit_one(self, tmp_path):
         _, solved = run(tmp_path, "solve", dict(SOLVE_CFG, h=1.0 / 16.0), out="solved")
         csv = solved / "solution.csv"

@@ -418,6 +418,8 @@ def brute_force_selection(patch, center, radius, sigma):
                       shape=(ny * nx, ny * nx))
     d_center = csgraph_dijkstra(G, indices=idx[center[0], center[1]]).reshape(ny, nx)
     in_disk = patch.mask & (d_center <= radius)
+    if not in_disk.any():
+        raise ValueError("intrinsic disk is empty")
     bd = np.zeros_like(in_disk)
     for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
         sh = np.zeros_like(in_disk)
@@ -433,10 +435,28 @@ def brute_force_selection(patch, center, radius, sigma):
     d_bd_sub = csgraph_dijkstra(sub, indices=src).min(axis=0)
     d_bd = np.full((ny, nx), np.inf)
     d_bd[in_disk] = d_bd_sub
-    h = np.where(in_disk & np.isfinite(sigma) & np.isfinite(d_bd), sigma * d_bd, -np.inf)
+    with np.errstate(invalid="ignore"):
+        h = np.where(in_disk & np.isfinite(sigma) & np.isfinite(d_bd), sigma * d_bd, -np.inf)
     flat = int(np.argmax(h))
     qy, qx = divmod(flat, nx)
-    return (qy, qx), float(h[qy, qx])
+    if not np.isfinite(h[qy, qx]):
+        raise ValueError("h-function is nowhere finite on the disk")
+    return BlowupSelection((qy, qx), float(sigma[qy, qx]), float(d_bd[qy, qx]), float(h[qy, qx]))
+
+
+def selection_or_error(select, patch, center, radius, sigma):
+    try:
+        return select(patch, center, radius, sigma).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+def bump_rectangle(h):
+    """A non-square rectangle carrying a smooth bump, so |sigma| varies."""
+    patch = GraphPatch.rectangle((0.0, 1.0, 0.0, 0.75), h)
+    X, Y = patch.xy()
+    patch.values = 0.3 * np.exp(-8.0 * ((X - 0.4) ** 2 + (Y - 0.45) ** 2))
+    return patch
 
 
 class TestBlowup:
@@ -465,9 +485,70 @@ class TestBlowup:
         sigma[spike] = 4.0
         sigma[ny // 2 - 4, nx // 2 + 1] = 2.5
         sel = blowup_select(patch, (ny // 2, nx // 2), 0.7, sigma_field=sigma)
-        q_bf, h_bf = brute_force_selection(patch, (ny // 2, nx // 2), 0.7, sigma)
-        assert sel.q_n == q_bf
-        assert sel.h_max == pytest.approx(h_bf, rel=1e-12)
+        assert sel == brute_force_selection(patch, (ny // 2, nx // 2), 0.7, sigma)
+
+    @pytest.mark.parametrize("kind", ["cap", "rectangle"])
+    def test_equal_to_the_full_patch_scan(self, kind):
+        """Bit for bit the full-patch selection, or the same ValueError, over
+        seeded draws: boxes clipped by the grid edge, radii below h (down to
+        -h) and beyond the patch, the patch's own |sigma| and synthetic
+        fields with ties."""
+        h = 1 / 32
+        patch = solved_cap(h, radius=0.5, H0=1.2).final_patch if kind == "cap" else bump_rectangle(h)
+        own_sigma = second_fundamental_norm_field(patch)
+        rng = np.random.default_rng(2024)
+        nodes = np.argwhere(patch.mask)
+        span = h * max(patch.shape)
+        clipped = beyond = below_h = 0
+        for draw in range(110):
+            center = tuple(int(v) for v in nodes[rng.integers(len(nodes))])
+            radius = float(rng.choice([rng.uniform(-h, h), rng.uniform(h, 0.5 * span),
+                                       rng.uniform(0.5 * span, 1.5 * span)], p=[0.15, 0.6, 0.25]))
+            synthetic = draw % 2 == 1
+            sigma = np.where(patch.mask, rng.integers(1, 4, patch.shape).astype(float), np.nan) \
+                if synthetic else None
+            got = selection_or_error(blowup_select, patch, center, radius, sigma)
+            want = selection_or_error(brute_force_selection, patch, center, radius,
+                                      sigma if synthetic else own_sigma)
+            assert got == want, (center, radius, synthetic)
+            k = int(max(radius, 0.0) / h) + 2
+            clipped += min(center) < k or center[0] + k >= patch.shape[0] \
+                or center[1] + k >= patch.shape[1]
+            beyond += radius > span
+            below_h += radius < h
+        assert clipped > 20 and beyond > 5 and below_h > 5
+
+    def test_box_absorbs_rounded_distances(self):
+        """Ten steps of 0.1 sum to 0.9999999999999999: at that radius the node
+        ten steps up is in the disk although int(radius/h) = 9, and on a
+        plane (h = 0 everywhere) it is the first disk node in row-major order."""
+        patch = GraphPatch.rectangle((0.0, 3.0, 0.0, 3.0), 0.1)
+        radius = sum([0.1] * 10)
+        assert int(radius / patch.h) == 9
+        sel = blowup_select(patch, (15, 15), radius)
+        assert sel.q_n == (5, 15)
+        assert sel == brute_force_selection(patch, (15, 15), radius,
+                                            second_fundamental_norm_field(patch))
+
+    def test_selection_reads_only_the_box(self):
+        """NaN heights and a |sigma| spike outside the box of int(radius/h) + 2
+        nodes around the center leave the selection unchanged."""
+        patch = solved_cap(1 / 32).final_patch
+        center, radius = (20, 27), 0.3
+        iy, ix = np.indices(patch.shape)
+        outside = np.maximum(abs(iy - center[0]), abs(ix - center[1])) > int(radius / patch.h) + 2
+        assert (outside & patch.mask).any()
+        sigma = np.where(patch.mask, 1.0, np.nan)
+        sigma[22, 25] = 2.0
+        own = blowup_select(patch, center, radius)
+        synthetic = blowup_select(patch, center, radius, sigma_field=sigma)
+
+        blurred = patch.copy()
+        blurred.values[outside] = np.nan
+        spiked = sigma.copy()
+        spiked[outside & patch.mask] = 1e6
+        assert blowup_select(blurred, center, radius) == own
+        assert blowup_select(blurred, center, radius, sigma_field=spiked) == synthetic
 
     def test_degenerate_disks_rejected(self):
         patch = GraphPatch.rectangle((0, 1, 0, 1), 1 / 8)
