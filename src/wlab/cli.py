@@ -254,6 +254,8 @@ def _cmd_blowup(cfg: ExperimentConfig) -> int:
         patch = outcome.final_patch
     sigma = None
     synth = cfg.params.get("synthetic_sigma")
+    if synth is not None and not isinstance(synth, dict):
+        raise ValueError(f"synthetic_sigma must be an object, got {synth!r}")
     if synth:
         sigma = np.where(patch.mask, float(synth.get("base", 1.0)), np.nan)
         for spike in synth.get("spikes", []):
@@ -291,10 +293,15 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed recorded in the summary (no command samples randomly)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry (dotted key)")
-    args = parser.parse_args(argv)
+    parser.error = lambda message: parser.exit(EXIT_IO, f"wlab: error: {message}\n")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:      # --help: 0; a usage error: 1, not argparse's 2
+        return exc.code
 
     try:
         with open(args.config) as fh:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, RelationError
 from .relation import (CMC, FForm, LinearWeingarten, RelationSpec, SampledHermite,
-                       _linear_coefficients, f_function, g_to_f, mobius_coefficients)
+                       _linear_coefficients, f_function, g_to_f)
 from .solver import GraphPatch, jet_fields
 
 POLE_GUARD = 1.0e-9
@@ -88,29 +88,25 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     """Relation satisfied by parallel surfaces at distance a.
 
     In principal-curvature form this is the Mobius conjugation
-    f -> F_a o f o F_{-a}.  Linear relations stay linear: conjugating the
-    2x2 matrix [[-alpha, delta], [beta, alpha]] by [[1,0],[-a,1]] on the
-    left and [[1,0],[a,1]] on the right reads off the new coefficients
-    (the quantity alpha^2 + beta*delta is the matrix determinant up to sign
-    and is preserved exactly), and so does a `mobius_coefficients` f-form
-    while beta' > 0; past that, LinearWeingarten's sign flip would make the
-    other branch canonical, so it is sampled like any f.
+    f -> F_a o f o F_{-a}.  A linear relation, or an f-form whose f is
+    exactly one's `f_function`, stays linear: conjugating the matrix
+    [[-alpha, delta], [beta, alpha]] of f by [[1,0],[-a,1]] on the left and
+    [[1,0],[a,1]] on the right reads off the new coefficients.  The
+    similarity keeps the eigenvalues +-sqrt(alpha^2 + beta*delta), and with
+    them the discriminant and the canonical fixed point, the one on +sqrt:
+    the result's canonical branch holds F_a of the input's umbilic for
+    either sign of beta'.  Any other f is sampled and mapped by F_a.
     """
     if a == 0.0:
         return rel
-    mobius = mobius_coefficients(rel)
-    lin = _linear_coefficients(rel) or mobius
+    lin = _linear_coefficients(rel)
     if lin is not None:
         al, be, de = lin
-        M = np.array([[-al, de], [be, al]])
-        L = np.array([[1.0, 0.0], [-a, 1.0]])
-        R = np.array([[1.0, 0.0], [a, 1.0]])
-        Mt = L @ M @ R
-        al2, be2, de2 = -Mt[0, 0], Mt[1, 0], Mt[0, 1]
+        al2 = al - a * de
+        be2 = be + a * (al + al2)
         if abs(be2) < 1e-14 * max(abs(al2), 1.0):
-            return CMC(de2 / (2.0 * al2))
-        if be2 > 0.0 or mobius is None:
-            return LinearWeingarten(float(al2), float(be2), float(de2))
+            return CMC(de / (2.0 * al2))
+        return LinearWeingarten(al2, be2, de)
 
     f = f_function(rel) or g_to_f(rel).f
     if isinstance(f, SampledHermite):
@@ -127,9 +123,8 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     except DomainError as exc:
         raise RelationError(
             f"conjugation pole on the sampled domain near x = {xs[exc.index[0]]:.9g}") from None
-    # d/dx F_a(x) = 1/(1-a x)^2; chain rule along the parametrization by x
-    dxt = 1.0 / (1.0 - a * xs) ** 2
-    dyt = dys / (1.0 - a * ys) ** 2
+    # slope of x -> (F_a(x), F_a(f(x))) by the chain rule, d/dx F_a(x) = 1/(1-a x)^2
+    slope = dys * ((1.0 - a * xs) / (1.0 - a * ys)) ** 2
     # F_a increases on each side of its pole, so the conjugate is a relation
     # only while the samples x and their values f(x) stay on one side of it;
     # a crossing in x is named before one in f(x)
@@ -140,7 +135,7 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
         raise RelationError(
             f"conjugation by a = {a:.9g} crosses the pole {('x', 'f(x)')[col]} = 1/a = "
             f"{1.0 / a:.9g}: the first sample past it is x = {xs[k]:.9g}, f(x) = {ys[k]:.9g}")
-    return FForm(SampledHermite(xt, yt, dyt / dxt))
+    return FForm(SampledHermite(xt, yt, slope))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +170,10 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
     is reused as the next step's first stage, so n steps call f 4n + 1
     times, once per stage.  Stops at s_max, at axis contact (r < 1e-6), or
     when sin(theta)/r leaves the domain of f; the truncated curve records
-    the reason.
+    the reason.  The step must be finite and positive and s_max finite.
     """
+    if not (math.isfinite(step) and step > 0.0 and math.isfinite(s_max)):
+        raise ValueError(f"profile needs a finite step > 0 and s_max, got {step!r}, {s_max!r}")
     f = f_function(rel) or g_to_f(rel).f
 
     def rhs(r, th):

@@ -58,8 +58,7 @@ class Interval:
 
     @staticmethod
     def from_json(obj) -> "Interval":
-        dec = lambda v: float(v)
-        return Interval(dec(obj[0]), dec(obj[1]))
+        return Interval(float(obj[0]), float(obj[1]))
 
 
 FULL_LINE = Interval(-math.inf, math.inf)
@@ -271,10 +270,11 @@ class CMC:
 class LinearWeingarten:
     """Linear relation 2*alpha*H + beta*K = delta with alpha^2 + beta*delta > 0.
 
-    Stored with beta >= 0 (the triple is sign-flipped if needed; the equation
-    is unchanged).  The canonical principal-curvature component is the branch
-    of ``(delta - alpha*x)/(alpha + beta*x)`` containing the fixed point
-    ``(-alpha + sqrt(alpha^2 + beta*delta))/beta``.
+    The triple is kept as given.  For either sign of beta the canonical
+    principal-curvature component is the branch of
+    ``(delta - alpha*x)/(alpha + beta*x)`` through the fixed point
+    ``(-alpha + sqrt(alpha^2 + beta*delta))/beta``; (-alpha, -beta, -delta)
+    is the same equation on its other branch.
     """
 
     alpha: float
@@ -282,17 +282,11 @@ class LinearWeingarten:
     delta: float
 
     def __post_init__(self):
-        a, b, d = float(self.alpha), float(self.beta), float(self.delta)
-        if a * a + b * d <= 0.0:
-            raise RelationError(
-                f"linear Weingarten coefficients ({a}, {b}, {d}) violate alpha^2 + beta*delta > 0")
-        if b < 0.0:
-            a, b, d = -a, -b, -d
-        if b == 0.0 and a == 0.0:
-            raise RelationError("linear Weingarten relation needs alpha != 0 when beta = 0")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "delta", d)
+        for name in ("alpha", "beta", "delta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not self.discriminant > 0.0:
+            raise RelationError(f"linear Weingarten coefficients ({self.alpha}, {self.beta}, "
+                                f"{self.delta}) violate alpha^2 + beta*delta > 0")
 
     @property
     def discriminant(self) -> float:
@@ -342,56 +336,57 @@ def relation_from_json(obj: dict) -> RelationSpec:
 
 
 def _linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
-    """(alpha, beta, delta) of 2*alpha*H + beta*K = delta for CMC (1, 0, 2*h0)
-    and linear relations; None for the other forms."""
+    """(alpha, beta, delta) of 2*alpha*H + beta*K = delta for CMC (1, 0, 2*h0),
+    linear relations and an f-form whose f is exactly the `f_function` of
+    one of them; None for the other forms."""
     if isinstance(rel, CMC):
         return 1.0, 0.0, 2.0 * rel.h0
     if isinstance(rel, LinearWeingarten):
         return rel.alpha, rel.beta, rel.delta
+    f = rel.f if isinstance(rel, FForm) else None
+    if isinstance(f, ClosedForm) and f.name in ("affine", "mobius"):
+        p = f.params
+        try:
+            lin = (CMC(0.5 * float(p["intercept"])) if f.name == "affine"
+                   else LinearWeingarten(p["alpha"], p["beta"], p["delta"]))
+        except RelationError:       # alpha^2 + beta*delta <= 0
+            return None
+        if f_function(lin).to_json() == f.to_json():
+            return _linear_coefficients(lin)
     return None
 
 
 def g_of(rel: RelationSpec) -> ScalarFunction:
-    """The g of H = g(H^2-K) for any relation; f-form relations are
-    converted by sampling (`f_to_g`)."""
+    """The g of H = g(H^2-K) for any relation; f-form relations that are not
+    linear are converted by sampling (`f_to_g`)."""
     lin = _linear_coefficients(rel)
     if lin is not None:
         al, be, de = lin
         if be == 0.0:
             return ClosedForm("constant", {"value": de / (2.0 * al)}, HALF_LINE)
         # solve beta*H^2 + 2*alpha*H - (delta + beta*t) = 0 for H, branch through the
-        # canonical fixed point: g(t) = sqrt(t + disc/beta^2) - alpha/beta
-        e = (al ** 2 + be * de) / be ** 2
-        return ClosedForm("sqrt_offset", {"scale": 1.0, "offset": e, "shift": -al / be}, HALF_LINE)
+        # canonical fixed point: g(t) = sign(beta)*sqrt(t + disc/beta^2) - alpha/beta
+        c, e = math.copysign(1.0, be), (al ** 2 + be * de) / be ** 2
+        return ClosedForm("sqrt_offset", {"scale": c, "offset": e, "shift": -al / be}, HALF_LINE)
     if isinstance(rel, GForm):
         return rel.g
     return f_to_g(rel).g
 
 
 def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
-    """The f of k2 = f(k1), when it exists in closed form (GForm -> None)."""
-    lin = _linear_coefficients(rel)
-    if lin is not None:
-        al, be, de = lin
-        if be == 0.0:
-            return ClosedForm("affine", {"intercept": de / al, "slope": -1.0}, FULL_LINE)
-        return ClosedForm("mobius", {"alpha": al, "beta": be, "delta": de},
-                          Interval(-al / be, math.inf))
+    """The f of k2 = f(k1), when it exists in closed form (GForm -> None); a
+    linear relation's is the half-line on its fixed point's side of the pole."""
     if isinstance(rel, FForm):
         return rel.f
-    return None
-
-
-def mobius_coefficients(rel: RelationSpec) -> Optional[tuple]:
-    """(alpha, beta, delta) when rel is an f-form whose f is the `mobius` that
-    f_function(LinearWeingarten(alpha, beta, delta)) builds, else None."""
-    f = rel.f if isinstance(rel, FForm) else None
-    if isinstance(f, ClosedForm) and f.name == "mobius":
-        al, be, de = (float(f.params[k]) for k in ("alpha", "beta", "delta"))
-        if al * al + be * de > 0.0 and \
-                f_function(LinearWeingarten(al, be, de)).to_json() == f.to_json():
-            return al, be, de
-    return None
+    lin = _linear_coefficients(rel)
+    if lin is None:
+        return None
+    al, be, de = lin
+    if be == 0.0:
+        return ClosedForm("affine", {"intercept": de / al, "slope": -1.0}, FULL_LINE)
+    pole = -al / be
+    return ClosedForm("mobius", {"alpha": al, "beta": be, "delta": de},
+                      Interval(pole, math.inf) if be > 0.0 else Interval(-math.inf, pole))
 
 
 def default_t_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> np.ndarray:

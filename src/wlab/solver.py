@@ -149,6 +149,8 @@ class GraphPatch:
                   init: BoundaryData = 0.0) -> "GraphPatch":
         """Uniform grid over [x_min, x_max] x [y_min, y_max] (snapped to h)."""
         x_min, x_max, y_min, y_max = (float(v) for v in bounds)
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError(f"grid step h must be finite and positive, got {h!r}")
         nx = int(round((x_max - x_min) / h)) + 1
         ny = int(round((y_max - y_min) / h)) + 1
         if nx < 3 or ny < 3:
@@ -167,6 +169,8 @@ class GraphPatch:
         """Masked disk domain with the center snapped onto a grid node; its
         cut nodes are tied to the circle by `_build_disk_ties`."""
         cx, cy = (float(v) for v in center)
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError(f"grid step h must be finite and positive, got {h!r}")
         n = int(math.ceil(radius / h))
         x0, y0 = cx - n * h, cy - n * h
         size = 2 * n + 1
@@ -251,12 +255,8 @@ class GraphPatch:
             "tie_tau": self.tie_tau.tolist(), "tie_len": self.tie_len.tolist(),
             "tie_bc": self.tie_bc.tolist(),
         }
-        # the bytes of json.dumps(hdr, sort_keys=True), one key at a time:
-        # json.dumps without indent runs the C encoder (json.dump never does),
-        # which holds every small chunk of its output until it joins them
         with open(header_path, "w") as fh:
-            fh.write("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(hdr[k])}"
-                                     for k in sorted(hdr)) + "}")
+            fh.write(json.dumps(hdr, sort_keys=True))
 
     @staticmethod
     def load(csv_path, header_path) -> "GraphPatch":

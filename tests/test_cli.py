@@ -336,15 +336,16 @@ def same_conjugate_as_linear(outdir):
 
 
 def keeps_offset_branch(outdir):
-    # at a = -0.3 the linear map gives beta' < 0, and LinearWeingarten's sign flip
-    # would make the other branch canonical: the conjugate must hold the offset of
-    # the input's fixed point (-1 + sqrt(1.5))/0.5 and of its domain [-2, inf)
+    # at a = -0.3 the linear map gives beta' < 0: the conjugate is the linear
+    # relation's, whose canonical branch holds the offset 0.396 of the input's
+    # fixed point (-1 + sqrt(1.5))/0.5 and the offset [-5, 1/0.3) of its domain [-2, inf)
     report = json.loads((outdir / "parallel_report.json").read_text())
+    exact = geometry.conjugate_relation(LinearWeingarten(1.0, 0.5, 1.0), -0.3)
+    assert report["conjugated"] == relation_to_json(exact)
     f = f_function(relation_from_json(report["conjugated"]))
     fixed = geometry.f_a((-1.0 + math.sqrt(1.5)) / 0.5, -0.3)
     assert float(f(fixed)) == pytest.approx(fixed, rel=1e-9)
-    assert f.domain.lo == pytest.approx(geometry.f_a(-2.0, -0.3), rel=1e-4)
-    assert f.domain.hi < 1.0 / 0.3
+    assert f.domain.lo <= geometry.f_a(-2.0, -0.3) and f.domain.hi >= 1.0 / 0.3
 
 
 def reports_domain_violation(outdir):
@@ -365,6 +366,9 @@ MOBIUS_TO_POLE = {"kind": "f", "function": {"kind": "closed", "name": "mobius",
 MOBIUS_NATURAL = {"relation": dict(MOBIUS_TO_POLE, function=dict(MOBIUS_TO_POLE["function"],
                                                                  domain=[-2.0, "inf"])),
                   "a": 0.01}
+TINY_BLOWUP = {"patch": {"solve": dict(SOLVE_CFG, h=0.25)}, "radius": 0.5}
+UNDULOID = {"relation": {"kind": "cmc", "h0": 0.5}, "seed_state": [0.5, 0.0, math.pi / 2],
+            "s_max": 1.0}
 EXIT_CODES = {
     "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
     "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
@@ -390,6 +394,13 @@ EXIT_CODES = {
                                          same_conjugate_as_linear),
     "mobius_natural_domain_keeps_branch": ("parallel", lambda tmp: dict(MOBIUS_NATURAL, a=-0.3),
                                            0, keeps_offset_branch),
+    "scalar_synthetic_sigma": ("blowup", lambda tmp: dict(TINY_BLOWUP, synthetic_sigma=5), 1, None),
+    "list_synthetic_sigma": ("blowup", lambda tmp: dict(TINY_BLOWUP, synthetic_sigma=[1]), 1,
+                             None),
+    "zero_grid_step": ("solve", lambda tmp: dict(SOLVE_CFG, h=0), 1, None),
+    "zero_profile_step": ("revolve", lambda tmp: dict(UNDULOID, step=0), 1, None),
+    "negative_profile_step": ("revolve", lambda tmp: dict(UNDULOID, step=-0.1), 1, None),
+    "infinite_profile_length": ("revolve", lambda tmp: dict(UNDULOID, s_max="inf"), 1, None),
 }
 
 
@@ -421,6 +432,19 @@ class TestConfigHandling:
     def test_negative_tolerance_rejected(self, tmp_path):
         code, _ = run(tmp_path, "solve", dict(SOLVE_CFG, tol_res=-1.0))
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [["solve"], ["frobnicate", "--config", "c.json"],
+                                      ["certify", "--config", "c.json", "--seed", "abc"]],
+                             ids=["missing_config", "unknown_command", "non_integer_seed"])
+    def test_usage_error_exit_one(self, capsys, argv):
+        # argparse exits 2, which is the certification-failure code
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wlab: error: ") and err.count("\n") == 1
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--seed" in capsys.readouterr().out
 
     def test_seed_recorded(self, tmp_path):
         code, outdir = run(tmp_path, "certify", {"relation": CMC_REL},

@@ -15,7 +15,7 @@ from wlab.geometry import (ParallelParams, ProfileCurve, conjugate_relation,
                            detect_period, f_a, offset_profile, parallel_curvatures,
                            rotational_profile, angle_function)
 from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
-                           f_function, g_to_f)
+                           f_function, g_to_f, relation_to_json)
 
 
 class TestMobiusTransform:
@@ -183,6 +183,48 @@ class TestConjugation:
         xs = np.linspace(lo, hi, 1001)[1:-1]
         np.testing.assert_allclose(np.asarray(sampled(xs)), np.asarray(exact(xs)), rtol=1e-6)
 
+    def test_linear_conjugate_keeps_the_offset_branch(self):
+        # F_a o f o F_{-a} for 400 linear relations with either sign of beta,
+        # each as a LinearWeingarten and as the f-form of its `f_function`:
+        # the conjugate's canonical branch must hold F_a of the input's fixed
+        # point, also where beta' = beta + 2 alpha a - delta a^2 < 0
+        rng = np.random.default_rng(2024)
+        checked = flipped = 0
+        for _ in range(400):
+            al = rng.uniform(-1.5, 1.5)
+            be = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+            disc = rng.uniform(0.05, 3.0)
+            de = (disc - al * al) / be
+            a = rng.uniform(-0.8, 0.8)
+            rel = LinearWeingarten(al, be, de)
+            u0 = (-al + math.sqrt(rel.discriminant)) / be
+            if abs(1.0 - a * u0) < 1e-3:
+                continue      # the offset of the umbilic sphere is a point
+            flipped += be + 2.0 * al * a - de * a * a < 0.0
+            target = u0 / (1.0 - a * u0)
+            f = f_function(rel)
+            for form in (rel, FForm(f)):
+                conj = conjugate_relation(form, a)
+                assert relation_to_json(conj) == relation_to_json(conjugate_relation(rel, a))
+                f2 = f_function(conj)
+                assert float(f2(target)) == pytest.approx(target, rel=1e-9, abs=1e-12)
+                pole = f2.domain.hi if math.isfinite(f2.domain.hi) else f2.domain.lo
+                step = 1e-3 * min(1.0, abs(target - pole)) if math.isfinite(pole) else 1e-3
+                for x in target + step * np.array([-1.0, 1.0]):
+                    y = f_a(float(f(float(f_a(x, -a)))), a)
+                    assert float(f2(x)) == pytest.approx(y, rel=1e-9, abs=1e-12)
+                checked += 1
+        assert checked >= 790 and flipped >= 50
+
+    @pytest.mark.parametrize("a", [0.3, -0.3])
+    def test_cmc_f_form_conjugates_exactly(self, a):
+        # the affine f of CMC(1) on the whole line: its pole 1/a is inside any
+        # sample window, so only the linear map conjugates it
+        conj = conjugate_relation(FForm(f_function(CMC(1.0))), a)
+        assert conj == conjugate_relation(CMC(1.0), a)
+        fixed = 1.0 / (1.0 - a)
+        assert float(f_function(conj)(fixed)) == pytest.approx(fixed, rel=1e-12)
+
     def test_cylinder_cross_check(self):
         # the cylinder pair (2, 0) of CMC(1) maps, at a = 1, to the pair
         # (0, -2) of the conjugated class CMC(-1)
@@ -331,6 +373,13 @@ class TestRotationalProfiles:
     def test_bad_seed_rejected(self):
         with pytest.raises(RelationError):
             rotational_profile(CMC(0.5), (0.0, 0.0, math.pi / 2), step=1e-3, s_max=1.0)
+
+
+    @pytest.mark.parametrize("step, s_max", [(0.0, 1.0), (-0.1, 1.0), (math.nan, 1.0),
+                                             (1e-3, math.inf), (1e-3, math.nan)])
+    def test_bad_step_or_length_rejected(self, step, s_max):
+        with pytest.raises(ValueError, match="finite step"):
+            rotational_profile(CMC(0.5), (0.5, 0.0, math.pi / 2), step=step, s_max=s_max)
 
 
 class TestPeriodDetection:

@@ -351,10 +351,22 @@ class TestScalarFunctions:
         with pytest.raises(RelationError):
             LinearWeingarten(0.0, 1.0, -1.0)
 
-    def test_beta_sign_normalization(self):
-        rel = LinearWeingarten(1.0, -1.0, -1.0)
-        assert rel.beta > 0
-        assert rel.alpha == -1.0
+    def test_negative_beta_keeps_its_branch(self):
+        # (1, -1, -1) and (-1, 1, 1) are one equation: each triple names the
+        # branch through its own fixed point (-alpha + sqrt(2))/beta
+        rel, other = LinearWeingarten(1.0, -1.0, -1.0), LinearWeingarten(-1.0, 1.0, 1.0)
+        assert (rel.alpha, rel.beta, rel.delta) == (1.0, -1.0, -1.0)
+        f, f_other = f_function(rel), f_function(other)
+        fixed = 1.0 - math.sqrt(2.0)
+        assert float(f(fixed)) == pytest.approx(fixed, rel=1e-14)
+        assert f.domain == Interval(-math.inf, 1.0) and f_other.domain == Interval(1.0, math.inf)
+        assert float(f_other(1.0 + math.sqrt(2.0))) == pytest.approx(1.0 + math.sqrt(2.0))
+        xs = np.array([-3.0, 0.0, 0.9])
+        np.testing.assert_allclose(np.asarray(f(xs)), (-1.0 - xs) / (1.0 - xs), rtol=1e-15)
+        report = certify_ellipticity(rel)
+        assert report.umbilical_alpha == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
+        assert report.orientation_flipped and not certify_ellipticity(other).orientation_flipped
+        assert float(g_of(rel)(0.0)) == pytest.approx(fixed, rel=1e-14)
 
 
 class TestHermiteOracle:

@@ -946,6 +946,14 @@ class TestPatchIO:
         assert np.isnan(p[~keep]).all()
 
 
+@pytest.mark.parametrize("h", [0.0, -0.125, math.inf, math.nan])
+def test_grid_step_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError, match="grid step h"):
+        GraphPatch.rectangle((0, 1, 0, 1), h)
+    with pytest.raises(ValueError, match="grid step h"):
+        GraphPatch.disk((0.0, 0.0), 1.0, h)
+
+
 def test_blowup_selection_json():
     sel = BlowupSelection((3, 4), 1.5, 2.0, 3.0)
     blob = sel.to_json()
