@@ -170,10 +170,10 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
     is reused as the next step's first stage, so n steps call f 4n + 1
     times, once per stage.  Stops at s_max, at axis contact (r < 1e-6), or
     when sin(theta)/r leaves the domain of f; the truncated curve records
-    the reason.  The step must be finite and positive and s_max finite.
+    the reason.  The step and s_max must be finite and positive.
     """
-    if not (math.isfinite(step) and step > 0.0 and math.isfinite(s_max)):
-        raise ValueError(f"profile needs a finite step > 0 and s_max, got {step!r}, {s_max!r}")
+    if not (math.isfinite(step) and step > 0.0 and math.isfinite(s_max) and s_max > 0.0):
+        raise ValueError(f"profile needs a finite step > 0 and s_max > 0, got {step!r}, {s_max!r}")
     f = f_function(rel) or g_to_f(rel).f
 
     def rhs(r, th):
@@ -189,7 +189,7 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
         km, kp = rhs(r, th)
     except (_AxisContact, DomainError) as exc:
         raise RelationError(f"profile seed is not integrable: {exc}") from exc
-    n_steps = max(int(math.ceil(s_max / step)), 1)
+    n_steps = int(math.ceil(s_max / step))
     half, sixth = 0.5 * step, step / 6.0
     out = [(0.0, r, z, th, km, kp)]
     reason = "s_max"

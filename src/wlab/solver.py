@@ -33,9 +33,12 @@ relations that leaves h invariant.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -44,8 +47,8 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DomainError, RelationError
 from .jets import mean_gauss, residual_fields, stencil_jets
-from .relation import (CMC, ClosedForm, GForm, LinearWeingarten, RelationSpec,
-                       SampledHermite, g_of)
+from .relation import (CMC, ClosedForm, FForm, GForm, LinearWeingarten, RelationSpec,
+                       SampledHermite, _linear_coefficients, f_function, g_of)
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1.0e-4
@@ -239,7 +242,13 @@ class GraphPatch:
 
     def save(self, csv_path, header_path):
         """Write `x,y,u` rows of the masked nodes (row-major) by `write_csv`,
-        x and y formatted once per grid column and row, and a JSON header."""
+        x and y formatted once per grid column and row, and a JSON header.
+
+        The text files are the patch.  Beside the CSV goes `<csv stem>.npz`,
+        an uncompressed `np.savez` of every field and the SHA-256 of the CSV
+        and header bytes just written; `load` reads it while both digests
+        still match.  numpy writes every zip member with the same fixed
+        date, so a rerun writes the same bytes."""
         ny, nx = self.shape
         xs, ys = (list(map(repr, a.tolist())) for a in self.axes())
         iy, ix = np.nonzero(self.mask)
@@ -257,11 +266,31 @@ class GraphPatch:
         }
         with open(header_path, "w") as fh:
             fh.write(json.dumps(hdr, sort_keys=True))
+        with open(_binary_path(csv_path), "wb") as fh:
+            np.savez(fh, csv_sha256=_sha256(csv_path), header_sha256=_sha256(header_path),
+                     x0=self.x0, y0=self.y0, h=self.h, kind=self.kind,
+                     disk_spec=np.asarray(self.disk_spec or (), dtype=float), mask=self.mask,
+                     values=self.values, **{k: getattr(self, k) for k in _TIE_FIELDS})
 
     @staticmethod
     def load(csv_path, header_path) -> "GraphPatch":
         """Read a patch written by `save`; a CSV whose row count is not the
-        mask's node count raises ValueError."""
+        mask's node count raises ValueError.
+
+        The `.npz` beside the CSV is used only while the digests it holds are
+        those of the CSV and header bytes; a missing, unreadable or stale
+        binary, or text edited after `save`, falls back to parsing the text,
+        which gives the same patch."""
+        try:
+            with np.load(_binary_path(csv_path), allow_pickle=False) as npz:
+                if (str(npz["csv_sha256"]) == _sha256(csv_path)
+                        and str(npz["header_sha256"]) == _sha256(header_path)):
+                    return GraphPatch(float(npz["x0"]), float(npz["y0"]), float(npz["h"]),
+                                      npz["mask"], npz["values"], str(npz["kind"]),
+                                      tuple(npz["disk_spec"].tolist()) or None,
+                                      *(npz[k] for k in _TIE_FIELDS))
+        except _UNREADABLE_BINARY:
+            pass
         with open(header_path) as fh:
             hdr = json.load(fh)
         rows = hdr["mask"]
@@ -277,6 +306,25 @@ class GraphPatch:
                           np.asarray(hdr["tie_tau"], dtype=float),
                           np.asarray(hdr["tie_len"], dtype=float),
                           np.asarray(hdr["tie_bc"], dtype=float))
+
+
+_TIE_FIELDS = ("tie_node", "tie_inner", "tie_tau", "tie_len", "tie_bc")
+# what np.load and reading its members raise for a binary that is missing or
+# unreadable (OSError), truncated or not a zip of .npy members (EOFError,
+# ValueError, BadZipFile, and TypeError for a lone .npy array), lacks a member
+# (KeyError), or whose zip headers claim encryption or another compression
+# (RuntimeError); a flipped data byte fails the member's CRC (BadZipFile)
+_UNREADABLE_BINARY = (OSError, EOFError, KeyError, ValueError, TypeError, RuntimeError,
+                      zipfile.BadZipFile)
+
+
+def _binary_path(csv_path) -> Path:
+    return Path(csv_path).with_suffix(".npz")
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_csv(path, header: str, columns):
@@ -775,7 +823,9 @@ def blowup_select(patch: GraphPatch, center: tuple, radius: float,
 
 def rescale_relation(rel: RelationSpec, lam: float) -> RelationSpec:
     """Relation satisfied by the rescaled surface lam * surface:
-    G(t) = g(lam^2 t) / lam.  Preserves the uniform ellipticity constant."""
+    G(t) = g(lam^2 t) / lam.  Preserves the uniform ellipticity constant.
+    An f-form is rescaled only when it is exactly a linear relation's f,
+    and stays an f-form: that of the rescaled linear relation."""
     if lam <= 0.0:
         raise ValueError("rescaling factor must be positive")
     if isinstance(rel, CMC):
@@ -797,7 +847,12 @@ def rescale_relation(rel: RelationSpec, lam: float) -> RelationSpec:
             return GForm(SampledHermite(g.breakpoints / lam ** 2, g.values / lam,
                                         g.derivatives * lam))
         raise RelationError(f"cannot rescale g of kind {type(g).__name__}/{getattr(g, 'name', '')}")
-    raise RelationError("rescale_relation needs a relation in g form")
+    lin = _linear_coefficients(rel)
+    if lin is None:
+        raise RelationError("rescale_relation needs a relation in g form or a linear f-form")
+    al, be, de = lin
+    linear = CMC(de / (2.0 * al)) if be == 0.0 else LinearWeingarten(al, be, de)
+    return FForm(f_function(rescale_relation(linear, lam)))
 
 
 def rescale_patch(patch: GraphPatch, lam: float) -> GraphPatch:

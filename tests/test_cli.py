@@ -112,8 +112,8 @@ class TestSolve:
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         _, out1 = run(tmp_path, "solve", SOLVE_CFG, out="o1")
         _, out2 = run(tmp_path, "solve", SOLVE_CFG, out="o2")
-        assert (out1 / "solve_report.json").read_bytes() == (out2 / "solve_report.json").read_bytes()
-        assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+        for name in ("solve_report.json", "solution.csv", "solution_header.json", "solution.npz"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestRevolve:
@@ -400,6 +400,7 @@ EXIT_CODES = {
     "zero_grid_step": ("solve", lambda tmp: dict(SOLVE_CFG, h=0), 1, None),
     "zero_profile_step": ("revolve", lambda tmp: dict(UNDULOID, step=0), 1, None),
     "negative_profile_step": ("revolve", lambda tmp: dict(UNDULOID, step=-0.1), 1, None),
+    "nonpositive_profile_length": ("revolve", lambda tmp: dict(UNDULOID, s_max=0), 1, None),
     "infinite_profile_length": ("revolve", lambda tmp: dict(UNDULOID, s_max="inf"), 1, None),
 }
 

@@ -376,7 +376,8 @@ class TestRotationalProfiles:
 
 
     @pytest.mark.parametrize("step, s_max", [(0.0, 1.0), (-0.1, 1.0), (math.nan, 1.0),
-                                             (1e-3, math.inf), (1e-3, math.nan)])
+                                             (1e-3, math.inf), (1e-3, math.nan),
+                                             (1e-3, 0.0), (1e-3, -1.0)])
     def test_bad_step_or_length_rejected(self, step, s_max):
         with pytest.raises(ValueError, match="finite step"):
             rotational_profile(CMC(0.5), (0.5, 0.0, math.pi / 2), step=step, s_max=s_max)

@@ -7,6 +7,7 @@ graph."""
 import heapq
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from conftest import cap_exact
-from wlab.errors import DomainError
-from wlab.relation import (CMC, ClosedForm, GForm, LinearWeingarten, SampledHermite,
-                           certify_ellipticity, default_t_grid, g_of,
-                           umbilical_constant)
+from wlab.errors import DomainError, RelationError
+from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
+                           SampledHermite, certify_ellipticity, default_t_grid, f_function,
+                           g_of, umbilical_constant)
 from scipy.sparse.linalg import spsolve as scipy_spsolve
 
 from wlab import solver
@@ -693,6 +694,27 @@ class TestRescaling:
         tq = np.linspace(0.0, 9.0 / lam ** 2, 7)
         assert np.allclose(np.asarray(scaled.g(tq)), 0.5, atol=1e-14)
 
+    @pytest.mark.parametrize("rel", [CMC(0.75), LinearWeingarten(1.0, 0.5, 1.0),
+                                     LinearWeingarten(1.0, -0.5, 1.0)], ids=repr)
+    @pytest.mark.parametrize("lam", [1e-3, 2.0, 1e3])
+    def test_linear_fform_rescales_as_fform(self, rel, lam):
+        """A linear relation's f-form rescales to the f-form of the rescaled
+        linear relation, whose g is the rescaled g-form's."""
+        scaled = rescale_relation(FForm(f_function(rel)), lam)
+        assert isinstance(scaled, FForm)
+        assert scaled.f.to_json() == f_function(rescale_relation(rel, lam)).to_json()
+        by_g = rescale_relation(GForm(g_of(rel)), lam).g
+        t = np.array([0.0, 0.3, 1.0, 7.0]) / lam ** 2
+        assert np.allclose(np.asarray(g_of(scaled)(t)), np.asarray(by_g(t)), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("f", [
+        SampledHermite(np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([-1.0, -1.0])),
+        ClosedForm("mobius", {"alpha": 1.0, "beta": 0.5, "delta": 1.0}, Interval(-1.9, 5.0)),
+    ], ids=["sampled", "mobius_off_branch"])
+    def test_nonlinear_fform_not_rescaled(self, f):
+        with pytest.raises(RelationError, match="linear f-form"):
+            rescale_relation(FForm(f), 2.0)
+
     def test_residual_scales_inverse(self):
         out = solved_cap(1 / 16)
         lam = 2.0
@@ -768,6 +790,29 @@ def _assert_same_patch(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for name in ("tie_tau", "tie_len", "tie_bc"):
         assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
+
+
+_TIES = ("tie_node", "tie_inner", "tie_tau", "tie_len", "tie_bc")
+
+
+def _no_text_parse(*args, **kwargs):
+    raise AssertionError("the patch was parsed from text")
+
+
+def _lone_array(blob, tmp_path):
+    np.save(tmp_path / "lone.npy", np.arange(3.0))
+    return [(tmp_path / "lone.npy").read_bytes()]
+
+
+# damaged copies of a binary `save` wrote: (bytes, scratch dir) -> list of blobs
+_DAMAGED_BINARIES = {
+    "empty": lambda blob, _: [b""],
+    "truncated": lambda blob, _: [blob[:n] for n in (4, 100, len(blob) // 2, len(blob) - 1)],
+    "garbage": lambda blob, _: [np.random.default_rng(3).bytes(len(blob))],
+    "lone_array": _lone_array,
+    "flipped_byte": lambda blob, _: [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
+                                     for i in range(0, len(blob), 13)],
+}
 
 
 def _loop_disk(center, radius, h, boundary, seen):
@@ -909,6 +954,77 @@ class TestPatchIO:
         assert json.loads(text) == hdr
         assert text == json.dumps(hdr, sort_keys=True)
         _assert_same_patch(GraphPatch.load(old_csv, old_hdr), GraphPatch.load(csv, new_hdr))
+
+    @pytest.mark.parametrize("kind", ["rectangle", "disk"])
+    def test_binary_and_text_paths_agree(self, tmp_path, kind, monkeypatch):
+        """The binary beside the CSV and the text it caches load to the same
+        patch: arrays bit for bit with their dtypes, scalars as the same
+        Python types."""
+        patch = (solved_cap(1 / 16).final_patch if kind == "disk"
+                 else GraphPatch.rectangle((-0.5, 0.5, -0.25, 0.5), 1 / 8, boundary=0.25))
+        csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
+        patch.save(csv, hdr)
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", _no_text_parse)
+            binary = GraphPatch.load(csv, hdr)
+        (tmp_path / "u.npz").unlink()
+        text = GraphPatch.load(csv, hdr)
+        _assert_same_patch(binary, text)
+        _assert_same_patch(binary, patch)
+        for name in ("x0", "y0", "h", "kind", "disk_spec"):
+            assert type(getattr(binary, name)) is type(getattr(text, name)), name
+        if kind == "disk":
+            assert [type(v) for v in binary.disk_spec] == [type(v) for v in text.disk_spec]
+        for name in ("mask", "values") + _TIES:
+            assert getattr(binary, name).dtype == getattr(text, name).dtype, name
+            assert getattr(binary, name).shape == getattr(text, name).shape, name
+
+    def test_edited_csv_loads_edited_value(self, tmp_path):
+        patch = solved_cap(1 / 16).final_patch
+        csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
+        patch.save(csv, hdr)
+        lines = csv.read_text().splitlines(keepends=True)
+        x, y, _ = lines[1].split(",")
+        lines[1] = f"{x},{y},0.125\n"
+        csv.write_text("".join(lines))
+        expect = patch.copy()
+        expect.values[tuple(np.argwhere(patch.mask)[0])] = 0.125
+        _assert_same_patch(GraphPatch.load(csv, hdr), expect)
+
+    def test_edited_header_loads_through_text(self, tmp_path):
+        patch = solved_cap(1 / 16).final_patch
+        csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
+        patch.save(csv, hdr)
+        fields = json.loads(hdr.read_text())
+        fields["x0"] += 0.5
+        hdr.write_text(json.dumps(fields, sort_keys=True))
+        expect = patch.copy()
+        expect.x0 += 0.5
+        _assert_same_patch(GraphPatch.load(csv, hdr), expect)
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGED_BINARIES))
+    def test_damaged_binary_loads_through_text(self, tmp_path, damage):
+        """A binary that is truncated, garbage or damaged anywhere (every
+        13th byte flipped in turn) never raises: the text gives the patch."""
+        patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 4, boundary=0.125)
+        csv, hdr, npz = tmp_path / "u.csv", tmp_path / "u.json", tmp_path / "u.npz"
+        patch.save(csv, hdr)
+        for blob in _DAMAGED_BINARIES[damage](npz.read_bytes(), tmp_path):
+            npz.write_bytes(blob)
+            _assert_same_patch(GraphPatch.load(csv, hdr), patch)
+
+    def test_binary_bytes_repeat(self, tmp_path, monkeypatch):
+        """Two saves of one patch, a day apart by the clock, write the same
+        binary bytes."""
+        patch = solved_cap(1 / 16).final_patch
+        blobs = []
+        for name, shift in (("a", 0.0), ("b", 86400.0)):
+            now = time.time() + shift
+            with monkeypatch.context() as m:
+                m.setattr(time, "time", lambda: now)
+                patch.save(tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
+            blobs.append((tmp_path / f"{name}.npz").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_missing_row_raises(self, tmp_path):
         csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
