@@ -11,12 +11,13 @@ and builds empirical diagrams from triangle meshes by quadric fitting.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MeshError, RelationError
 from .jets import h2_minus_k, mean_gauss
@@ -25,6 +26,8 @@ from .relation import ScalarFunction
 ZERO_TOL = 1.0e-13          # absolute tolerance for "exactly zero" curvature
 FIT_COND_LIMIT = 1.0e8      # quadric fits above this condition number are skipped
 FIT_BLOCK = 1024            # vertices per batched quadric fit; bounds the working arrays
+_INDEX_TAIL = re.compile(r"(?<=\S)/\S*")   # the '/j/k' of an OBJ face token 'i/j/k'
+_NOT_INDEX = re.compile(r"[^\s0-9]")       # a character outside unsigned decimal indices
 
 
 @dataclass
@@ -242,37 +245,76 @@ class TriMesh:
 
 def load_obj(path) -> TriMesh:
     """Minimal OBJ reader: 'v' and triangular 'f' records only; anything else
-    is ignored and counted.  Vertex indices are 1-based, 'i/j/k' forms allowed."""
-    verts, faces, ignored = [], [], 0
+    is ignored and counted.  Vertex indices are 1-based, 'i/j/k' forms allowed.
+
+    One pass sorts the lines into records, and numpy parses the vertex and
+    face records in bulk.  Its parsers round decimals as float() does and
+    accept no token that float() or int() would reject.  A file they do not
+    take whole is read again by `_load_obj_lines`, which raises the MeshError
+    of its first bad line.  That covers files with a face that is not a
+    triangle, an index that is zero, signed or non-ASCII, and coordinates
+    that only float() reads, such as '1_0'.
+    """
     with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise MeshError(f"line {ln}: vertex needs 3 coordinates")
+        lines = fh.read().split("\n")
+    vertex, face, ignored = [], [], 0
+    for line in lines:
+        parts = line.split(None, 1)
+        if not parts or parts[0][0] == "#":
+            continue
+        if parts[0] == "v":
+            vertex.append(line)
+        elif parts[0] == "f":
+            # a bare 'f' leaves a blank line, which loadtxt skips: one row short
+            face.append(parts[1] if len(parts) > 1 else "")
+        else:
+            ignored += 1
+    indices = "\n".join(face)
+    if "/" in indices:
+        indices = _INDEX_TAIL.sub("", indices)
+    if vertex and face and not _NOT_INDEX.search(indices):
+        try:
+            verts = np.loadtxt(vertex, usecols=(1, 2, 3), comments=None, ndmin=2)
+            faces = np.loadtxt(io.StringIO(indices), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if faces.shape == (len(face), 3) and faces.min() > 0:
+                return TriMesh(verts, faces - 1, ignored)
+    return _load_obj_lines(lines)
+
+
+def _load_obj_lines(lines: list) -> TriMesh:
+    """`load_obj` record by record, in file order."""
+    verts, faces, ignored = [], [], 0
+    for ln, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise MeshError(f"line {ln}: vertex needs 3 coordinates")
+            try:
+                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+            except ValueError as exc:
+                raise MeshError(f"line {ln}: bad vertex coordinate") from exc
+        elif parts[0] == "f":
+            idx = []
+            for tok in parts[1:]:
+                head = tok.split("/")[0]
                 try:
-                    verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                    v = int(head)
                 except ValueError as exc:
-                    raise MeshError(f"line {ln}: bad vertex coordinate") from exc
-            elif parts[0] == "f":
-                idx = []
-                for tok in parts[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        v = int(head)
-                    except ValueError as exc:
-                        raise MeshError(f"line {ln}: bad face index {tok!r}") from exc
-                    if v <= 0:
-                        raise MeshError(f"line {ln}: only positive face indices are supported")
-                    idx.append(v - 1)
-                if len(idx) == 3:
-                    faces.append(idx)
-                else:
-                    ignored += 1
+                    raise MeshError(f"line {ln}: bad face index {tok!r}") from exc
+                if v <= 0:
+                    raise MeshError(f"line {ln}: only positive face indices are supported")
+                idx.append(v - 1)
+            if len(idx) == 3:
+                faces.append(idx)
             else:
                 ignored += 1
+        else:
+            ignored += 1
     if not verts or not faces:
         raise MeshError("OBJ contains no usable triangles")
     return TriMesh(np.asarray(verts), np.asarray(faces), ignored)
@@ -286,6 +328,10 @@ def _mesh_topology(mesh: TriMesh):
     This also rejects every non-manifold edge, since the third face on an
     edge repeats one of the two directions before it.
     """
+    # scipy is imported here and in mesh_diagram, not with the module, so
+    # that a diagram of curvature pairs never loads it
+    import scipy.sparse as sp
+
     nv = len(mesh.vertices)
     u = mesh.faces.ravel()
     v = mesh.faces[:, [1, 2, 0]].ravel()
@@ -332,6 +378,8 @@ def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
     solution, and one batched SVD per block serves both the condition check
     and the solve.
     """
+    import scipy.sparse as sp
+
     boundary, adjacency = _mesh_topology(mesh)
     normals = _vertex_normals(mesh)
     V = mesh.vertices

@@ -168,43 +168,54 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
 
     The state is held in Python floats, and each step's end-point evaluation
     is reused as the next step's first stage, so n steps call f 4n + 1
-    times, once per stage.  Stops at s_max, at axis contact (r < 1e-6), or
-    when sin(theta)/r leaves the domain of f; the truncated curve records
-    the reason.  The step and s_max must be finite and positive.
+    times, once per stage, and take one sine and one cosine per stage.
+    Stops at s_max, at axis contact (a stage radius below 1e-6), or when
+    sin(theta)/r leaves the domain of f; the truncated curve records the
+    reason.  The step and s_max must be finite and positive.
     """
     if not (math.isfinite(step) and step > 0.0 and math.isfinite(s_max) and s_max > 0.0):
         raise ValueError(f"profile needs a finite step > 0 and s_max > 0, got {step!r}, {s_max!r}")
     f = f_function(rel) or g_to_f(rel).f
-
-    def rhs(r, th):
-        """(kappa_m, kappa_p) at the state; kappa_m is theta'.  A kappa_p
-        outside I_f raises f's DomainError."""
-        if r < AXIS_RADIUS:
-            raise _AxisContact()
-        kp = math.sin(th) / r
-        return float(f(kp)), kp
-
     r, z, th = (float(v) for v in seed)
+    if r < AXIS_RADIUS:
+        raise RelationError(f"profile seed is not integrable: r = {r!r} is on the axis")
+    s1, c1 = math.sin(th), math.cos(th)
+    kp = s1 / r
     try:
-        km, kp = rhs(r, th)
-    except (_AxisContact, DomainError) as exc:
+        km = float(f(kp))
+    except DomainError as exc:
         raise RelationError(f"profile seed is not integrable: {exc}") from exc
     n_steps = int(math.ceil(s_max / step))
     half, sixth = 0.5 * step, step / 6.0
     out = [(0.0, r, z, th, km, kp)]
     reason = "s_max"
+    # stage j is at radius rj and angle tj, with sj, cj = sin(tj), cos(tj) and
+    # kappa_m = mj; the step's first stage is the state itself, (s1, c1, km)
     try:
         for k in range(n_steps):
-            t2 = th + half * km
-            m2, _ = rhs(r + half * math.cos(th), t2)
-            t3 = th + half * m2
-            m3, _ = rhs(r + half * math.cos(t2), t3)
-            t4 = th + step * m3
-            m4, _ = rhs(r + step * math.cos(t3), t4)
-            r = r + sixth * (math.cos(th) + 2.0 * math.cos(t2) + 2.0 * math.cos(t3) + math.cos(t4))
-            z = z + sixth * (math.sin(th) + 2.0 * math.sin(t2) + 2.0 * math.sin(t3) + math.sin(t4))
+            r2, t2 = r + half * c1, th + half * km
+            if r2 < AXIS_RADIUS:
+                raise _AxisContact
+            s2, c2 = math.sin(t2), math.cos(t2)
+            m2 = float(f(s2 / r2))
+            r3, t3 = r + half * c2, th + half * m2
+            if r3 < AXIS_RADIUS:
+                raise _AxisContact
+            s3, c3 = math.sin(t3), math.cos(t3)
+            m3 = float(f(s3 / r3))
+            r4, t4 = r + step * c3, th + step * m3
+            if r4 < AXIS_RADIUS:
+                raise _AxisContact
+            s4, c4 = math.sin(t4), math.cos(t4)
+            m4 = float(f(s4 / r4))
+            r = r + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            z = z + sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
             th = th + sixth * (km + 2.0 * m2 + 2.0 * m3 + m4)
-            km, kp = rhs(r, th)
+            if r < AXIS_RADIUS:
+                raise _AxisContact
+            s1, c1 = math.sin(th), math.cos(th)
+            kp = s1 / r
+            km = float(f(kp))
             out.append(((k + 1) * step, r, z, th, km, kp))
     except _AxisContact:
         reason = "axis_contact"

@@ -39,16 +39,19 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DomainError, RelationError
 from .jets import mean_gauss, residual_fields, stencil_jets
 from .relation import (CMC, ClosedForm, FForm, GForm, LinearWeingarten, RelationSpec,
                        SampledHermite, _linear_coefficients, f_function, g_of)
+
+# scipy is imported by the functions that use it, not with the module:
+# `wlab certify`, `revolve`, `parallel` and `linop` never load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ARMIJO_FACTOR = 0.5
 ARMIJO_SLOPE = 1.0e-4
@@ -472,6 +475,8 @@ def _factor(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray):
     BACKWARD_ERROR_LIMIT, J is factored again with COLAMD and threshold
     partial pivoting.  Raises RuntimeError when J is singular.
     """
+    from scipy.sparse.linalg import splu
+
     try:
         factor = Factor(splu(J[order][:, order].tocsc(), permc_spec="NATURAL",
                              diag_pivot_thresh=0.0, options={"SymmetricMode": True}), order)
@@ -504,6 +509,8 @@ def spsolve(J: sp.spmatrix, rhs: np.ndarray, order: np.ndarray,
     """
     krylov_iters = 0
     if factor is not None:
+        from scipy.sparse.linalg import LinearOperator, gmres
+
         def count(_):
             nonlocal krylov_iters
             krylov_iters += 1
@@ -586,6 +593,8 @@ class _System:
     def jacobian(self, grads) -> sp.csr_matrix:
         """The Jacobian of the work residual: the fixed pattern of
         `_jacobian_pattern` filled with this step's stencil coefficients."""
+        import scipy.sparse as sp
+
         Fp, Fq, Fr, Fs, Ft = grads
         h = self.h
         coeffs = (
@@ -731,6 +740,7 @@ def intrinsic_distances(patch: GraphPatch, sources, within: Optional[np.ndarray]
     # csgraph, and importing it in every process left `wlab solve` runs in
     # one of two heap layouts, chosen at random per process, whose peak RSS
     # differed by 4.5 MB.
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
 
     ny, nx = patch.shape

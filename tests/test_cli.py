@@ -459,12 +459,55 @@ class TestConfigHandling:
         assert "stamp" not in (outdir / "certify_report.json").read_text()
 
 
-def test_cli_import_loads_no_scipy_interpolate():
-    # scipy.interpolate adds 0.3-0.5 s to the start-up of every wlab process
+# a fresh process runs each command in turn and reports the scipy modules
+# loaded so far; only the sparse solve, the blow-up's Dijkstra and the mesh
+# diagram's adjacency need scipy
+SCIPY_PROBE = """
+import json, sys
+from wlab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = {"import": [0, scipy_modules()]}
+for name, command in json.loads(sys.argv[1]):
+    code = main([command, "--config", name + ".json", "--out", name])
+    steps[name] = [code, scipy_modules()]
+print(json.dumps(steps))
+"""
+
+
+def test_commands_load_scipy_only_where_used(tmp_path):
+    mesh = tmp_path / "ico.obj"
+    write_obj(make_icosphere(1.0, 1), mesh)
+    configs = {
+        "certify": {"relation": CMC_REL},
+        "revolve": {"relation": {"kind": "g", "function": {
+            "kind": "closed", "name": "sqrt_offset", "domain": [0.0, "inf"],
+            "params": {"scale": 0.45, "offset": 0.8, "shift": 0.05}}},
+            "seed_state": [0.6, 0.0, math.pi / 2], "s_max": 1.0},
+        "parallel": dict(PARALLEL_CFG, pairs=[[2.0, 0.0]]),
+        "linop": {"relation": {"kind": "cmc", "h0": 0.5}, "r0": 1.0, "L": 3.0, "r": 3.0},
+        "pairs": {"pairs": [[2.0, -1.0], [1.0, -0.5]]},
+        "mesh": {"mesh": str(mesh)},
+        "solve": dict(SOLVE_CFG, h=0.125),
+        "blowup": {"patch": {"load": {"csv": "solve/solution.csv",
+                                      "header": "solve/solution_header.json"}}, "radius": 0.5},
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    commands = [(name, name if name not in ("pairs", "mesh") else "diagram") for name in configs]
     src = str(Path(wlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, wlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    steps = json.loads(done.stdout.splitlines()[-1])
+    for name in ("import", "certify", "revolve", "parallel", "linop", "pairs"):
+        assert steps[name] == [0, []], name
+    for name, module in (("mesh", "scipy.sparse"), ("solve", "scipy.sparse.linalg"),
+                         ("blowup", "scipy.sparse.csgraph")):
+        code, loaded = steps[name]
+        assert code == 0 and module in loaded, name
+    # scipy.interpolate would add 0.3-0.5 s; no command needs it
+    assert not any(m.startswith("scipy.interpolate") for m in steps["blowup"][1])

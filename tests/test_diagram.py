@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cylinder_mesh, make_flat_mesh, make_icosphere, write_obj
+from wlab import diagram
 from wlab.diagram import (FIT_BLOCK, FIT_COND_LIMIT, CurvatureDiagram, PhiRegion, QCReport,
                           RegionCheck, TriMesh, _vertex_normals, beltrami_of_metric, gamma_mu,
                           gamma_to_wedge, gauss_beltrami_ratio, load_obj, mesh_diagram, mu_gamma,
-                          qc_classify, region_membership)
+                          qc_classify, region_membership, _load_obj_lines)
 from wlab.errors import MeshError, RelationError
 from wlab.jets import mean_gauss
 from wlab.relation import ClosedForm, GForm, Interval, SampledHermite, certify_ellipticity, g_to_f
@@ -363,6 +364,114 @@ class TestMeshes:
         F_bad = np.array([[0, 1, 2], [1, 2, 3]])   # edge (1,2) traversed twice same way
         with pytest.raises(MeshError, match="orientation"):
             mesh_diagram(TriMesh(V, F_bad))
+
+
+# a file read whole by numpy: comments, blank and whitespace-only lines,
+# leading whitespace, tabs, CRLF, extra tokens, 'i/j/k' and 'i//k' face
+# tokens, unknown records and no newline at the end
+OBJ_RECORDS = ("# a comment\r\n#tight comment\r\n\r\n   \t\r\nmtllib m.mtl\r\no thing\r\n"
+               "v 0 0 0\r\n  v\t1.5 0 -0\r\nv 0 1e0 0 1.0 extra\r\nv 1 1 0.25 # c\r\n"
+               "vn 0 0 1\r\nvt 0.5 0.5\r\nusemtl stuff\r\n"
+               "f 1/1/1 2/2/1 3/3/1\r\n\tf 2//1 4//1 3//1  \r\nf 1/ 2 4\t\r\ns off")
+OBJ_RECORDS_MESH = (np.array([[0, 0, 0], [1.5, 0, -0.0], [0, 1, 0], [1, 1, 0.25]]),
+                    np.array([[0, 1, 2], [1, 3, 2], [0, 1, 3]]), 6)
+HEAD = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+def _line_loop_fails(lines):
+    raise AssertionError("the record-by-record reader ran")
+
+
+class TestObjReader:
+    """load_obj reads well-formed files in bulk and everything else record by
+    record; both give the TriMesh and the first MeshError of the file order."""
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "mesh.obj"
+        with open(path, "w", newline="") as fh:     # writes CRLF as given
+            fh.write(text)
+        return load_obj(path)
+
+    def assert_mesh(self, mesh, vertices, faces, ignored):
+        assert mesh.vertices.dtype == np.float64 and mesh.faces.dtype == np.int_
+        assert np.array_equal(mesh.vertices.view(np.int64), np.asarray(vertices, float).view(np.int64))
+        assert np.array_equal(mesh.faces, faces)
+        assert mesh.ignored_records == ignored
+
+    def test_records_in_bulk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diagram, "_load_obj_lines", _line_loop_fails)
+        self.assert_mesh(self.read(tmp_path, OBJ_RECORDS), *OBJ_RECORDS_MESH)
+
+    def test_bulk_equals_record_loop(self, tmp_path):
+        for text in (OBJ_RECORDS, HEAD + "f 1 2 3\n", OBJ_RECORDS.replace("\r\n", "\n")):
+            mesh = self.read(tmp_path, text)
+            ref = _load_obj_lines((tmp_path / "mesh.obj").read_text().split("\n"))
+            self.assert_mesh(mesh, ref.vertices, ref.faces, ref.ignored_records)
+
+    @pytest.mark.parametrize("tail, faces, ignored", [
+        ("f 1 2 3\nf 1 2 3 4\n", [[0, 1, 2]], 1),          # a quad is ignored
+        ("f\nf 1 2 3\n", [[0, 1, 2]], 1),                   # so is a bare 'f'
+        ("f 1 2\nf 3 2 1\n", [[2, 1, 0]], 1),
+        ("f +1 02 3/x\n", [[0, 1, 2]], 0),                  # int() reads these
+        ("f 1_0 2 3\n" + "v 0 0 0\n" * 7, [[9, 1, 2]], 0),
+        ("f \u0661 2 3\n", [[0, 1, 2]], 0),
+    ])
+    def test_records_that_need_the_loop(self, tmp_path, tail, faces, ignored):
+        mesh = self.read(tmp_path, HEAD + tail)
+        assert np.array_equal(mesh.faces, faces) and mesh.ignored_records == ignored
+
+    def test_coordinates_only_float_reads(self, tmp_path):
+        mesh = self.read(tmp_path, "v 1_0 \u0662 -inf\n" + HEAD + "f 2 3 4\n")
+        assert mesh.vertices[0].tolist() == [10.0, 2.0, -math.inf]
+
+    @pytest.mark.parametrize("text, message", [
+        (HEAD + "v 0 0\nf 1 2 3\n", "line 4: vertex needs 3 coordinates"),
+        (HEAD + "v\nf 1 2 3\n", "line 4: vertex needs 3 coordinates"),
+        ("v 0 x 0\n" + HEAD + "f 1 2 3\n", "line 1: bad vertex coordinate"),
+        (HEAD + "v 0 0 0x1\nf 1 2 3\n", "line 4: bad vertex coordinate"),
+        (HEAD + "v 0 #0 0\nf 1 2 3\n", "line 4: bad vertex coordinate"),
+        (HEAD + "f 1 a 3\n", "line 4: bad face index 'a'"),
+        (HEAD + "f 1 /2 3\n", "line 4: bad face index '/2'"),
+        (HEAD + "f 1 2 3.0\n", "line 4: bad face index '3.0'"),
+        (HEAD + "f 1 2 3 # c\n", "line 4: bad face index '#'"),
+        (HEAD + "f 1 2 0\n", "line 4: only positive face indices are supported"),
+        (HEAD + "f -1 2 3\n", "line 4: only positive face indices are supported"),
+        (HEAD + "f 1 2 3 -1\n", "line 4: only positive face indices are supported"),
+        # the first bad line in file order, and the first bad token in a line
+        (HEAD + "f 1 2 3\n\nf 1 2 x\nv 0 0\n", "line 6: bad face index 'x'"),
+        (HEAD + "v 0 0\nf 1 2 x\n", "line 4: vertex needs 3 coordinates"),
+        (HEAD + "f x -1 3\n", "line 4: bad face index 'x'"),
+        (HEAD + "f -1 x 3\n", "line 4: only positive face indices are supported"),
+        ("f 1 2 3\r\nv 0 0\r\n", "line 2: vertex needs 3 coordinates"),
+        (HEAD, "OBJ contains no usable triangles"),
+        (HEAD + "f 1 2 3 4\n", "OBJ contains no usable triangles"),
+        ("f 1 2 3\n", "OBJ contains no usable triangles"),
+        ("", "OBJ contains no usable triangles"),
+        (HEAD + "f 1 2 4\n", "face index out of range"),
+    ])
+    def test_first_error(self, tmp_path, text, message):
+        with pytest.raises(MeshError) as info:
+            self.read(tmp_path, text)
+        assert str(info.value) == message
+
+    def test_coordinates_round_as_float(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(diagram, "_load_obj_lines", _line_loop_fails)
+        x = rng.standard_normal(3000) * 10.0 ** rng.integers(-320, 300, 3000)
+        x[:6] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+        faces = "f 1 2 3\n"
+        for fmt in (repr, "{:.17g}".format, "{:.6e}".format):
+            tokens = [fmt(float(v)) for v in x]
+            text = "".join(f"v {a} {b} {c}\n" for a, b, c in zip(*[iter(tokens)] * 3)) + faces
+            mesh = self.read(tmp_path, text)
+            exact = np.array([float(t) for t in tokens]).reshape(-1, 3)
+            assert np.array_equal(mesh.vertices.view(np.int64), exact.view(np.int64))
+
+    def test_icosphere_in_bulk(self, tmp_path, monkeypatch):
+        mesh = make_icosphere(1.3, 3)
+        write_obj(mesh, tmp_path / "ico.obj")
+        ref = load_obj(tmp_path / "ico.obj")
+        monkeypatch.setattr(diagram, "_load_obj_lines", _line_loop_fails)
+        self.assert_mesh(load_obj(tmp_path / "ico.obj"), ref.vertices, ref.faces, 0)
 
 
 def quadric_graph_mesh(n, a, b, extent=0.5) -> TriMesh:

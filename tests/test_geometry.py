@@ -382,6 +382,10 @@ class TestRotationalProfiles:
         with pytest.raises(ValueError, match="finite step"):
             rotational_profile(CMC(0.5), (0.5, 0.0, math.pi / 2), step=step, s_max=s_max)
 
+    def test_seed_on_the_axis_rejected(self):
+        with pytest.raises(RelationError, match=r"^profile seed is not integrable: r = 5e-07 is on"):
+            rotational_profile(CMC(0.5), (5e-7, 0.0, math.pi / 2))
+
 
 class TestPeriodDetection:
     def quad_oracle(self, H0, r0):
