@@ -183,6 +183,8 @@ def _cmd_diagram(cfg: ExperimentConfig) -> int:
         diag = diagram_mod.mesh_diagram(mesh)
     elif "pairs_csv" in cfg.params:
         rows = np.loadtxt(cfg.params["pairs_csv"], delimiter=",", skiprows=1, ndmin=2)
+        if len(rows) and rows.shape[1] < 2:
+            raise ValueError(f"'pairs_csv' needs k1 and k2 columns, got {rows.shape[1]}")
         diag = diagram_mod.CurvatureDiagram(rows[:, :2], "synthetic")
     elif "pairs" in cfg.params:
         diag = diagram_mod.CurvatureDiagram(np.asarray(cfg.params["pairs"], dtype=float), "synthetic")

@@ -238,7 +238,10 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=int).reshape(-1, 3)
+        try:
+            self.faces = np.asarray(self.faces, dtype=int).reshape(-1, 3)
+        except OverflowError:
+            raise MeshError("face index out of range") from None
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise MeshError("face index out of range")
 

@@ -348,6 +348,18 @@ def keeps_offset_branch(outdir):
     assert f.domain.lo <= geometry.f_a(-2.0, -0.3) and f.domain.hi >= 1.0 / 0.3
 
 
+def one_column_pairs_csv(tmp):
+    # one column of 1, 2, 3, 4 is no list of (k1, k2) pairs, not (2, 1) and (4, 3)
+    csv = tmp / "pairs.csv"
+    csv.write_text("k\n1\n2\n3\n4\n")
+    return {"pairs_csv": str(csv)}
+
+
+def writes_no_diagram(outdir):
+    assert not (outdir / "diagram.csv").exists()
+    assert not (outdir / "diagram_report.json").exists()
+
+
 def reports_domain_violation(outdir):
     outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
     assert outcome["status"] == "domain_violation"
@@ -402,6 +414,7 @@ EXIT_CODES = {
     "negative_profile_step": ("revolve", lambda tmp: dict(UNDULOID, step=-0.1), 1, None),
     "nonpositive_profile_length": ("revolve", lambda tmp: dict(UNDULOID, s_max=0), 1, None),
     "infinite_profile_length": ("revolve", lambda tmp: dict(UNDULOID, s_max="inf"), 1, None),
+    "one_column_pairs_csv": ("diagram", one_column_pairs_csv, 1, writes_no_diagram),
 }
 
 
@@ -460,19 +473,20 @@ class TestConfigHandling:
 
 
 # a fresh process runs each command in turn and reports the scipy modules
-# loaded so far; only the sparse solve, the blow-up's Dijkstra and the mesh
-# diagram's adjacency need scipy
+# loaded so far and whether orjson is; only the sparse solve, the blow-up's
+# Dijkstra and the mesh diagram's adjacency need scipy, and only the commands
+# that write a CSV need orjson
 SCIPY_PROBE = """
 import json, sys
 from wlab.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), "orjson" in sys.modules
 
-steps = {"import": [0, scipy_modules()]}
+steps = {"import": [0, *loaded()]}
 for name, command in json.loads(sys.argv[1]):
     code = main([command, "--config", name + ".json", "--out", name])
-    steps[name] = [code, scipy_modules()]
+    steps[name] = [code, *loaded()]
 print(json.dumps(steps))
 """
 
@@ -482,12 +496,12 @@ def test_commands_load_scipy_only_where_used(tmp_path):
     write_obj(make_icosphere(1.0, 1), mesh)
     configs = {
         "certify": {"relation": CMC_REL},
+        "linop": {"relation": {"kind": "cmc", "h0": 0.5}, "r0": 1.0, "L": 3.0, "r": 3.0},
         "revolve": {"relation": {"kind": "g", "function": {
             "kind": "closed", "name": "sqrt_offset", "domain": [0.0, "inf"],
             "params": {"scale": 0.45, "offset": 0.8, "shift": 0.05}}},
             "seed_state": [0.6, 0.0, math.pi / 2], "s_max": 1.0},
         "parallel": dict(PARALLEL_CFG, pairs=[[2.0, 0.0]]),
-        "linop": {"relation": {"kind": "cmc", "h0": 0.5}, "r0": 1.0, "L": 3.0, "r": 3.0},
         "pairs": {"pairs": [[2.0, -1.0], [1.0, -0.5]]},
         "mesh": {"mesh": str(mesh)},
         "solve": dict(SOLVE_CFG, h=0.125),
@@ -503,11 +517,15 @@ def test_commands_load_scipy_only_where_used(tmp_path):
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
     steps = json.loads(done.stdout.splitlines()[-1])
-    for name in ("import", "certify", "revolve", "parallel", "linop", "pairs"):
-        assert steps[name] == [0, []], name
+    # the commands run in this order in one process, so orjson stays loaded
+    # from the first CSV on
+    for name in ("import", "certify", "linop"):
+        assert steps[name] == [0, [], False], name
+    for name in ("revolve", "parallel", "pairs"):
+        assert steps[name] == [0, [], True], name
     for name, module in (("mesh", "scipy.sparse"), ("solve", "scipy.sparse.linalg"),
                          ("blowup", "scipy.sparse.csgraph")):
-        code, loaded = steps[name]
+        code, loaded, _ = steps[name]
         assert code == 0 and module in loaded, name
     # scipy.interpolate would add 0.3-0.5 s; no command needs it
     assert not any(m.startswith("scipy.interpolate") for m in steps["blowup"][1])

@@ -448,6 +448,8 @@ class TestObjReader:
         ("f 1 2 3\n", "OBJ contains no usable triangles"),
         ("", "OBJ contains no usable triangles"),
         (HEAD + "f 1 2 4\n", "face index out of range"),
+        # beyond int64: the record loop reads it, the array of faces cannot hold it
+        (HEAD + "f 1 2 99999999999999999999\n", "face index out of range"),
     ])
     def test_first_error(self, tmp_path, text, message):
         with pytest.raises(MeshError) as info:

@@ -12,6 +12,9 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from conftest import cap_exact
@@ -25,7 +28,7 @@ from wlab import solver
 from wlab.solver import (BlowupSelection, GraphPatch, blowup_select, intrinsic_distances,
                          jet_fields, nested_dissection, newton_solve, rescale_patch,
                          rescale_relation, residual_field, second_fundamental_norm_field,
-                         spsolve)
+                         spsolve, write_csv)
 
 SQRT3_M2 = math.sqrt(3.0) - 2.0
 
@@ -1060,6 +1063,67 @@ class TestPatchIO:
         keep = patch.interior_mask()
         assert np.isfinite(p[keep]).all()
         assert np.isnan(p[~keep]).all()
+
+
+def _repr_rows(path, header, columns):
+    """The oracle: one row per entry, each float formatted by `str.format`,
+    which is its `repr`."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join(["{}"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(row.format, *cols))
+
+
+# where orjson's layout and `repr`'s part, or nearly do: the least subnormal,
+# the ends of [1e-5, 1e-4), where only `repr` writes an exponent, 10.00001,
+# whose digits hold 0.0000, the last values without an exponent and the first
+# with one (1e16), and the largest double
+EDGE_FLOATS = [5e-324, 1e-5, 9.999999999999999e-05, 1.0000000000000001e-05, 10.00001, 1e15,
+               1e16, 9999999999999998.0, 1e22, 1.7976931348623157e308]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 2.2250738585072014e-308]
+
+
+class TestWriteCsv:
+    """`write_csv` writes the bytes of the per-row `repr` writer."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, columns):
+        write_csv(tmp_path / "fast.csv", "header", columns)
+        _repr_rows(tmp_path / "oracle.csv", "header", columns)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                  elements=st.floats(width=64) | st.sampled_from(EDGE_FLOATS + SPECIAL_FLOATS)
+                  | st.floats(1e-5, 1e-4) | st.floats(-1e-4, -1e-5)))
+    def test_random_tables(self, tmp_path, table):
+        self.assert_same_bytes(tmp_path, list(table.T))
+        # the same rows in blocks of 7, so block ends fall on every kind of value
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "CSV_BLOCK", 7)
+            self.assert_same_bytes(tmp_path, list(table.T))
+
+    def test_rows_across_blocks(self, tmp_path, rng):
+        n = 2 * solver.CSV_BLOCK + 3
+        values = np.array(EDGE_FLOATS + SPECIAL_FLOATS)
+        table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-310, 300, (n, 3))
+        edge = rng.random((n, 3)) < 0.2
+        table[edge] = rng.choice(np.concatenate([values, -values]), np.count_nonzero(edge))
+        self.assert_same_bytes(tmp_path, list(table.T))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_edge_values(self, tmp_path, k):
+        values = np.array(EDGE_FLOATS + SPECIAL_FLOATS)
+        values = np.concatenate([values, -values])
+        # every value, signed both ways, in every column
+        self.assert_same_bytes(tmp_path, [np.roll(values, j) for j in range(k)])
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_zero_rows(self, tmp_path, k):
+        self.assert_same_bytes(tmp_path, [np.empty(0)] * k)
+        assert (tmp_path / "fast.csv").read_bytes() == b"header\n"
 
 
 @pytest.mark.parametrize("h", [0.0, -0.125, math.inf, math.nan])
