@@ -177,6 +177,14 @@ def _cmd_revolve(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _curvature_pairs(raw) -> np.ndarray:
+    """Inline `pairs` as an (N, 2) float array of [k1, k2] rows."""
+    ks = np.asarray(raw, dtype=float)
+    if ks.ndim != 2 or ks.shape[1] != 2:
+        raise ValueError(f"'pairs' must be a list of [k1, k2] rows, got shape {ks.shape}")
+    return ks
+
+
 def _cmd_diagram(cfg: ExperimentConfig) -> int:
     if "mesh" in cfg.params:
         mesh = diagram_mod.load_obj(cfg.params["mesh"])
@@ -187,7 +195,7 @@ def _cmd_diagram(cfg: ExperimentConfig) -> int:
             raise ValueError(f"'pairs_csv' needs k1 and k2 columns, got {rows.shape[1]}")
         diag = diagram_mod.CurvatureDiagram(rows[:, :2], "synthetic")
     elif "pairs" in cfg.params:
-        diag = diagram_mod.CurvatureDiagram(np.asarray(cfg.params["pairs"], dtype=float), "synthetic")
+        diag = diagram_mod.CurvatureDiagram(_curvature_pairs(cfg.params["pairs"]), "synthetic")
     else:
         raise KeyError("diagram config needs 'mesh', 'pairs_csv' or 'pairs'")
     report = diagram_mod.qc_classify(diag)
@@ -215,9 +223,7 @@ def _cmd_parallel(cfg: ExperimentConfig) -> int:
     }
     pairs = cfg.params.get("pairs")
     if pairs:
-        ks = np.asarray(pairs, dtype=float)
-        if ks.ndim != 2 or ks.shape[1] != 2:
-            raise ValueError(f"'pairs' must be a list of [k1, k2] rows, got shape {ks.shape}")
+        ks = _curvature_pairs(pairs)
         rows = np.column_stack([ks, *geometry.parallel_curvatures(ks, a)])
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         solver.write_csv(cfg.out_dir / "parallel_pairs.csv",
@@ -246,6 +252,13 @@ def _cmd_linop(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_blowup(cfg: ExperimentConfig) -> int:
+    radius = float(cfg.params["radius"])
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"'radius' must be finite and > 0, got {radius!r}")
+    center = cfg.params.get("center")
+    if center is not None and not (isinstance(center, list) and len(center) == 2
+                                   and all(type(v) is int for v in center)):
+        raise ValueError(f"'center' must be two integer grid indices [iy, ix], got {center!r}")
     spec = cfg.params["patch"]
     if "load" in spec:
         patch = solver.GraphPatch.load(spec["load"]["csv"], spec["load"]["header"])
@@ -263,15 +276,14 @@ def _cmd_blowup(cfg: ExperimentConfig) -> int:
         for spike in synth.get("spikes", []):
             iy, ix = patch.in_domain_node(spike["node"], "synthetic_sigma spike")
             sigma[iy, ix] += float(spike["amplitude"])
-    center = cfg.params.get("center")
     if center is None:
         ny, nx = patch.shape
         center = (ny // 2, nx // 2)
-    sel = solver.blowup_select(patch, center, float(cfg.params["radius"]), sigma_field=sigma)
+    sel = solver.blowup_select(patch, center, radius, sigma_field=sigma)
     cfg.write_summary("blowup_report.json", {
         "check": "blowup_maximizer_selection",
         "selection": sel.to_json(),
-        "radius": float(cfg.params["radius"]),
+        "radius": radius,
         "synthetic_sigma": bool(synth),
     })
     return EXIT_OK
@@ -288,7 +300,7 @@ _DISPATCH = {
 }
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wlab",
         description="Numerical laboratory for elliptic Weingarten surfaces")
@@ -297,11 +309,21 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the summary (no command samples randomly)")
+    # argparse copies the default list before it appends, so no call's
+    # overrides reach the next
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry (dotted key)")
     parser.error = lambda message: parser.exit(EXIT_IO, f"wlab: error: {message}\n")
+    return parser
+
+
+# built once per process: every `main` call parses with it
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:      # --help: 0; a usage error: 1, not argparse's 2
         return exc.code
 

@@ -247,9 +247,21 @@ class SampledHermite(_Evaluated):
 ScalarFunction = Union[ClosedForm, SampledHermite]
 
 
+def _finite(params: dict, key: str) -> float:
+    """params[key] as a float; ValueError naming `key` unless it is finite
+    (the CLI exits 1 on it)."""
+    value = float(params[key])
+    if not math.isfinite(value):
+        raise ValueError(f"relation parameter {key!r} must be finite, got {value!r}")
+    return value
+
+
 def scalar_function_from_json(obj: dict) -> ScalarFunction:
     if obj.get("kind") == "closed":
-        return ClosedForm(obj["name"], dict(obj["params"]), Interval.from_json(obj["domain"]))
+        params = dict(obj["params"])
+        for key in params:
+            _finite(params, key)
+        return ClosedForm(obj["name"], params, Interval.from_json(obj["domain"]))
     if obj.get("kind") == "hermite":
         return SampledHermite(np.asarray(obj["x"]), np.asarray(obj["y"]), np.asarray(obj["dy"]))
     raise RelationError(f"unknown scalar function kind {obj.get('kind')!r}")
@@ -323,11 +335,13 @@ def relation_to_json(rel: RelationSpec) -> dict:
 
 
 def relation_from_json(obj: dict) -> RelationSpec:
+    """The relation a JSON object describes.  Its numeric parameters must
+    be finite (ValueError otherwise); a domain end may be "inf" or "-inf"."""
     kind = obj.get("kind")
     if kind == "cmc":
-        return CMC(float(obj["h0"]))
+        return CMC(_finite(obj, "h0"))
     if kind == "linear":
-        return LinearWeingarten(float(obj["alpha"]), float(obj["beta"]), float(obj["delta"]))
+        return LinearWeingarten(*(_finite(obj, k) for k in ("alpha", "beta", "delta")))
     if kind == "g":
         return GForm(scalar_function_from_json(obj["function"]))
     if kind == "f":

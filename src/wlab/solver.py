@@ -37,7 +37,7 @@ import hashlib
 import json
 import math
 import re
-import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -248,19 +248,23 @@ class GraphPatch:
         """Write `x,y,u` rows of the masked nodes (row-major) by `write_csv`
         and a JSON header.
 
-        The text files are the patch.  Beside the CSV goes `<csv stem>.npz`,
-        an uncompressed `np.savez` of every field and the SHA-256 of the CSV
-        and header bytes just written; `load` reads it while both digests
-        still match.  numpy writes every zip member with the same fixed
-        date, so a rerun writes the same bytes."""
+        The text files are the patch.  Beside the CSV goes `<csv stem>.bin`,
+        read by `load` in one piece: a first line of 8 hex digits, the
+        `zlib.crc32` of every byte after it; a second line of compact JSON
+        with sorted keys (x0, y0, h, kind, disk, the SHA-256 of the CSV and
+        header bytes just written, and `[name, dtype.str, shape]` of each
+        array); then the raw C-order bytes of mask, values and the five tie
+        arrays.  Nothing in it depends on the clock, so a rerun writes the
+        same bytes."""
         ny, nx = self.shape
         xs, ys = self.axes()
         iy, ix = np.nonzero(self.mask)
         write_csv(csv_path, "x,y,u", [xs[ix], ys[iy], self.values[iy, ix]])
         chars = np.where(self.mask, b"1", b"0").tobytes().decode()
+        disk = list(self.disk_spec) if self.disk_spec else None
         hdr = {
             "x0": self.x0, "y0": self.y0, "h": self.h, "shape": list(self.shape),
-            "kind": self.kind, "disk": list(self.disk_spec) if self.disk_spec else None,
+            "kind": self.kind, "disk": disk,
             "mask": [chars[i:i + nx] for i in range(0, ny * nx, nx)],
             "tie_node": self.tie_node.tolist(), "tie_inner": self.tie_inner.tolist(),
             "tie_tau": self.tie_tau.tolist(), "tie_len": self.tie_len.tolist(),
@@ -268,29 +272,46 @@ class GraphPatch:
         }
         with open(header_path, "w") as fh:
             fh.write(json.dumps(hdr, sort_keys=True))
+        arrays = [getattr(self, k) for k in _BINARY_ARRAYS]
+        meta = {"x0": self.x0, "y0": self.y0, "h": self.h, "kind": self.kind, "disk": disk,
+                "csv_sha256": _sha256(csv_path), "header_sha256": _sha256(header_path),
+                "arrays": [[k, a.dtype.str, list(a.shape)]
+                           for k, a in zip(_BINARY_ARRAYS, arrays)]}
+        body = b"".join([json.dumps(meta, sort_keys=True, separators=(",", ":")).encode(), b"\n",
+                         *(a.tobytes() for a in arrays)])
         with open(_binary_path(csv_path), "wb") as fh:
-            np.savez(fh, csv_sha256=_sha256(csv_path), header_sha256=_sha256(header_path),
-                     x0=self.x0, y0=self.y0, h=self.h, kind=self.kind,
-                     disk_spec=np.asarray(self.disk_spec or (), dtype=float), mask=self.mask,
-                     values=self.values, **{k: getattr(self, k) for k in _TIE_FIELDS})
+            fh.write(b"%08x\n" % zlib.crc32(body))
+            fh.write(body)
 
     @staticmethod
     def load(csv_path, header_path) -> "GraphPatch":
         """Read a patch written by `save`; a CSV whose row count is not the
         mask's node count raises ValueError.
 
-        The `.npz` beside the CSV is used only while the digests it holds are
-        those of the CSV and header bytes; a missing, unreadable or stale
-        binary, or text edited after `save`, falls back to parsing the text,
-        which gives the same patch."""
+        The `.bin` beside the CSV is read in one go and used only when its
+        CRC matches its bytes and the digests it holds are those of the CSV
+        and header bytes; each array is then a copy of its slice.  A
+        missing, short, garbled or stale binary (an old `.npz` is not read),
+        or text edited after `save`, falls back to parsing the text, which
+        gives the same patch."""
         try:
-            with np.load(_binary_path(csv_path), allow_pickle=False) as npz:
-                if (str(npz["csv_sha256"]) == _sha256(csv_path)
-                        and str(npz["header_sha256"]) == _sha256(header_path)):
-                    return GraphPatch(float(npz["x0"]), float(npz["y0"]), float(npz["h"]),
-                                      npz["mask"], npz["values"], str(npz["kind"]),
-                                      tuple(npz["disk_spec"].tolist()) or None,
-                                      *(npz[k] for k in _TIE_FIELDS))
+            with open(_binary_path(csv_path), "rb") as fh:
+                blob = fh.read()
+            if blob[:9] == b"%08x\n" % zlib.crc32(memoryview(blob)[9:]):
+                end = blob.index(b"\n", 9) + 1
+                meta = json.loads(blob[9:end])
+                if (meta["csv_sha256"] == _sha256(csv_path)
+                        and meta["header_sha256"] == _sha256(header_path)):
+                    arrays = {}
+                    for name, dtype, shape in meta["arrays"]:
+                        dtype, count = np.dtype(dtype), math.prod(shape)
+                        arrays[name] = np.frombuffer(blob, dtype, count, end).reshape(shape).copy()
+                        end += dtype.itemsize * count
+                    if end == len(blob):
+                        return GraphPatch(meta["x0"], meta["y0"], meta["h"], arrays["mask"],
+                                          arrays["values"], meta["kind"],
+                                          tuple(meta["disk"]) if meta["disk"] else None,
+                                          *(arrays[k] for k in _TIE_FIELDS))
         except _UNREADABLE_BINARY:
             pass
         with open(header_path) as fh:
@@ -311,17 +332,16 @@ class GraphPatch:
 
 
 _TIE_FIELDS = ("tie_node", "tie_inner", "tie_tau", "tie_len", "tie_bc")
-# what np.load and reading its members raise for a binary that is missing or
-# unreadable (OSError), truncated or not a zip of .npy members (EOFError,
-# ValueError, BadZipFile, and TypeError for a lone .npy array), lacks a member
-# (KeyError), or whose zip headers claim encryption or another compression
-# (RuntimeError); a flipped data byte fails the member's CRC (BadZipFile)
-_UNREADABLE_BINARY = (OSError, EOFError, KeyError, ValueError, TypeError, RuntimeError,
-                      zipfile.BadZipFile)
+_BINARY_ARRAYS = ("mask", "values") + _TIE_FIELDS
+# what reading the binary raises when it is missing or unreadable (OSError),
+# or when a file whose CRC matches is not one `save` wrote: bad JSON or
+# dtype, a missing key, a value of the wrong type, or arrays that overrun
+# the file
+_UNREADABLE_BINARY = (OSError, ValueError, TypeError, KeyError)
 
 
 def _binary_path(csv_path) -> Path:
-    return Path(csv_path).with_suffix(".npz")
+    return Path(csv_path).with_suffix(".bin")
 
 
 def _sha256(path) -> str:
@@ -757,7 +777,42 @@ def _offset_slices(dy: int, dx: int, ny: int, nx: int):
     return a, b
 
 
-def intrinsic_distances(patch: GraphPatch, sources, within: Optional[np.ndarray] = None) -> np.ndarray:
+def _grid_graph(patch: GraphPatch, allowed: np.ndarray):
+    """(CSR graph, node map) of the 8-neighbour grid graph on `allowed`.
+
+    The node map numbers the allowed nodes in row-major order (-1
+    elsewhere).  The (8, ny, nx) arrays of neighbour numbers and secant
+    lengths are filled from padded slices in `_NEIGHBORS8` order and then
+    compressed with the edge mask node by node, so each CSR row has its
+    columns in ascending order: the neighbours of a node, in that order,
+    are row-major.  Edge lengths are sqrt((h dx)^2 + (h dy)^2 + du^2)."""
+    import scipy.sparse as sp
+
+    ny, nx = patch.shape
+    n = np.count_nonzero(allowed)
+    pad_node = np.full((ny + 2, nx + 2), -1, dtype=np.int32)
+    node = pad_node[1:-1, 1:-1]
+    node[allowed] = np.arange(n, dtype=np.int32)
+    pad_u = np.full((ny + 2, nx + 2), np.nan)
+    pad_u[1:-1, 1:-1] = patch.values
+    nbr = np.empty((8, ny, nx), dtype=np.int32)
+    length = np.empty((8, ny, nx))
+    for k, (dy, dx) in enumerate(_NEIGHBORS8):
+        shifted = (slice(1 + dy, 1 + dy + ny), slice(1 + dx, 1 + dx + nx))
+        nbr[k] = pad_node[shifted]
+        du = pad_u[shifted] - patch.values
+        length[k] = np.sqrt((patch.h * dx) ** 2 + (patch.h * dy) ** 2 + du * du)
+    edge = (nbr >= 0) & allowed
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(edge, axis=0)[allowed], out=indptr[1:])
+    by_node = edge.transpose(1, 2, 0)
+    graph = sp.csr_matrix((length.transpose(1, 2, 0)[by_node], nbr.transpose(1, 2, 0)[by_node],
+                           indptr), shape=(n, n))
+    return graph, node
+
+
+def intrinsic_distances(patch: GraphPatch, sources, within: Optional[np.ndarray] = None,
+                        limit: float = np.inf) -> np.ndarray:
     """Multi-source intrinsic distance over the 8-neighbor grid graph.
 
     An edge joins two allowed nodes (the patch mask, and `within` when
@@ -765,36 +820,25 @@ def intrinsic_distances(patch: GraphPatch, sources, within: Optional[np.ndarray]
     sqrt((h dx)^2 + (h dy)^2 + du^2) of the graph over it.  `sources` is an
     iterable of (iy, ix); sources outside the allowed set are ignored.
     Returns the distance of every node to its nearest source (scipy's
-    csgraph Dijkstra), inf where no source is reachable.
+    csgraph Dijkstra), inf where no source is reachable or the distance
+    exceeds `limit`.  A node within `limit` is reached only through nodes
+    within it, so its distance has the same bits as without the limit.
     """
     # Imported here, not with the module: only the blow-up path needs
     # csgraph, and importing it in every process left `wlab solve` runs in
     # one of two heap layouts, chosen at random per process, whose peak RSS
     # differed by 4.5 MB.
-    import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
 
-    ny, nx = patch.shape
     allowed = patch.mask if within is None else (patch.mask & within)
-    dist = np.full((ny, nx), np.inf)
+    dist = np.full(patch.shape, np.inf)
     src = np.asarray(sources, dtype=int).reshape(-1, 2)
     src = src[allowed[src[:, 0], src[:, 1]]]
     if src.size == 0:
         return dist
-    n = np.count_nonzero(allowed)
-    node = np.full((ny, nx), -1)
-    node[allowed] = np.arange(n)
-    rows, cols, lengths = [], [], []
-    for dy, dx in _NEIGHBORS8:
-        a, b = _offset_slices(dy, dx, ny, nx)
-        both = allowed[a] & allowed[b]
-        du = patch.values[b][both] - patch.values[a][both]
-        rows.append(node[a][both])
-        cols.append(node[b][both])
-        lengths.append(np.sqrt((patch.h * dx) ** 2 + (patch.h * dy) ** 2 + du * du))
-    graph = sp.csr_matrix((np.concatenate(lengths), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-    dist[allowed] = dijkstra(graph, indices=node[src[:, 0], src[:, 1]], min_only=True)
+    graph, node = _grid_graph(patch, allowed)
+    dist[allowed] = dijkstra(graph, indices=node[src[:, 0], src[:, 1]], min_only=True,
+                             limit=limit)
     return dist
 
 
@@ -827,7 +871,8 @@ def blowup_select(patch: GraphPatch, center: tuple, radius: float,
     One more node absorbs the rounding of the summed edge lengths and one
     more gives each disk node its 8 neighbours, so the distances, the disk
     boundary, the jets of |sigma| and the argmax are those of the whole
-    patch, bit for bit."""
+    patch, bit for bit.  The center call stops at `radius`, which leaves
+    the distance of every disk node as it is."""
     iy0, ix0 = patch.in_domain_node(center, "blow-up center")
     if not radius >= 0.0:
         raise ValueError("intrinsic disk is empty")
@@ -838,7 +883,7 @@ def blowup_select(patch: GraphPatch, center: tuple, radius: float,
                       patch.mask[box], patch.values[box])
     ny, nx = crop.shape
 
-    d_center = intrinsic_distances(crop, [(iy0 - y0, ix0 - x0)])
+    d_center = intrinsic_distances(crop, [(iy0 - y0, ix0 - x0)], limit=radius)
     in_disk = crop.mask & (d_center <= radius)
     # disk nodes with a neighbor outside the disk, or on the patch mask edge
     bd = in_disk & crop.boundary_mask()

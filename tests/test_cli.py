@@ -14,7 +14,7 @@ import wlab
 from conftest import make_icosphere, write_obj
 from wlab import diagram, geometry
 from wlab.cli import ExperimentConfig, _solve, main
-from wlab.relation import (LinearWeingarten, f_function, relation_from_json,
+from wlab.relation import (DEFAULT_T_MAX, LinearWeingarten, f_function, relation_from_json,
                            relation_to_json)
 
 
@@ -43,6 +43,16 @@ SOLVE_CFG = {
     "tol_res": 1e-9,
     "max_iter": 30,
     "benchmark_center_value": math.sqrt(3.0) - 2.0,
+}
+
+# blow-up inputs that exit 1 before any solve, and the key each one names
+BAD_BLOWUP_INPUTS = {
+    "zero_blowup_radius": {"radius": 0},
+    "infinite_blowup_radius": {"radius": math.inf},
+    "nan_blowup_radius": {"radius": math.nan},
+    "fractional_center": {"center": [4.5, 4]},
+    "boolean_center": {"center": [True, 4]},
+    "three_index_center": {"center": [4, 4, 4]},
 }
 
 
@@ -112,7 +122,7 @@ class TestSolve:
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         _, out1 = run(tmp_path, "solve", SOLVE_CFG, out="o1")
         _, out2 = run(tmp_path, "solve", SOLVE_CFG, out="o2")
-        for name in ("solve_report.json", "solution.csv", "solution_header.json", "solution.npz"):
+        for name in ("solve_report.json", "solution.csv", "solution_header.json", "solution.bin"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
@@ -263,6 +273,16 @@ class TestBlowup:
                       "is not an in-domain node\n"
         assert not (outdir / "blowup_report.json").exists()
 
+    @pytest.mark.parametrize("case", sorted(BAD_BLOWUP_INPUTS))
+    def test_bad_radius_or_center_names_the_key(self, tmp_path, capsys, case):
+        extra = BAD_BLOWUP_INPUTS[case]
+        code, _ = run(tmp_path, "blowup", dict(TINY_BLOWUP, **extra))
+        assert code == 1
+        err = capsys.readouterr().err
+        key, = extra
+        assert err.startswith(f"wlab: invalid parameter: '{key}' must be ")
+        assert err.count("\n") == 1
+
     def test_truncated_patch_exit_one(self, tmp_path):
         _, solved = run(tmp_path, "solve", dict(SOLVE_CFG, h=1.0 / 16.0), out="solved")
         csv = solved / "solution.csv"
@@ -360,6 +380,14 @@ def writes_no_diagram(outdir):
     assert not (outdir / "diagram_report.json").exists()
 
 
+def writes_no_certify_report(outdir):
+    assert not (outdir / "certify_report.json").exists()
+
+
+def writes_no_blowup(outdir):
+    assert not (outdir / "blowup_report.json").exists()
+
+
 def reports_domain_violation(outdir):
     outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
     assert outcome["status"] == "domain_violation"
@@ -415,6 +443,16 @@ EXIT_CODES = {
     "nonpositive_profile_length": ("revolve", lambda tmp: dict(UNDULOID, s_max=0), 1, None),
     "infinite_profile_length": ("revolve", lambda tmp: dict(UNDULOID, s_max="inf"), 1, None),
     "one_column_pairs_csv": ("diagram", one_column_pairs_csv, 1, writes_no_diagram),
+    "flat_inline_pairs": ("diagram", lambda tmp: {"pairs": [1, 2, 3, 4]}, 1, writes_no_diagram),
+    "single_column_inline_pairs": ("diagram", lambda tmp: {"pairs": [[1], [2], [3], [4]]}, 1,
+                                   writes_no_diagram),
+    "nan_h0_certify": ("certify", lambda tmp: {"relation": {"kind": "cmc", "h0": math.nan}}, 1,
+                       writes_no_certify_report),
+    "infinite_closed_form_parameter": ("certify", lambda tmp: {"relation": dict(
+        TWO_SQRT_T, function=dict(TWO_SQRT_T["function"], params={
+            "scale": 2.0, "offset": math.inf, "shift": 0.0}))}, 1, writes_no_certify_report),
+    **{name: ("blowup", lambda tmp, extra=extra: dict(TINY_BLOWUP, **extra), 1, writes_no_blowup)
+       for name, extra in BAD_BLOWUP_INPUTS.items()},
 }
 
 
@@ -459,6 +497,27 @@ class TestConfigHandling:
     def test_help_exit_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "--seed" in capsys.readouterr().out
+
+    def test_overrides_do_not_leak_into_the_next_call(self, tmp_path):
+        code, first = run(tmp_path, "certify", {"relation": CMC_REL}, out="first",
+                          extra=("--set", "t_max=100.0"))
+        assert code == 0
+        code, second = run(tmp_path, "certify", {"relation": CMC_REL}, out="second")
+        assert code == 0
+        grids = [json.loads((out / "certify_report.json").read_text())["report"]["grid"]
+                 for out in (first, second)]
+        assert grids[0]["t_max"] == 100.0
+        assert grids[1]["t_max"] == DEFAULT_T_MAX
+
+    def test_parser_serves_repeated_calls(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert main(["solve"]) == 1
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "--seed" in outputs[0].out
+        assert outputs[0].err.startswith("wlab: error: ") and outputs[0].err.count("\n") == 1
 
     def test_seed_recorded(self, tmp_path):
         code, outdir = run(tmp_path, "certify", {"relation": CMC_REL},

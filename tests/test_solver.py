@@ -4,10 +4,12 @@ The blow-up maximizer is checked against an exhaustive scan whose distances
 come from scipy's csgraph Dijkstra on an independently assembled sparse
 graph."""
 
+import hashlib
 import heapq
 import json
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -602,6 +604,26 @@ def heap_distances(patch, sources, within=None):
     return dist
 
 
+def coo_graph(patch, allowed):
+    """Reference: the graph builder that `solver._grid_graph` replaced, COO
+    triplets per neighbour direction converted to CSR."""
+    ny, nx = patch.shape
+    n = np.count_nonzero(allowed)
+    node = np.full((ny, nx), -1)
+    node[allowed] = np.arange(n)
+    rows, cols, lengths = [], [], []
+    for dy, dx in solver._NEIGHBORS8:
+        a = (slice(max(-dy, 0), ny - max(dy, 0)), slice(max(-dx, 0), nx - max(dx, 0)))
+        b = (slice(max(dy, 0), ny + min(dy, 0)), slice(max(dx, 0), nx + min(dx, 0)))
+        both = allowed[a] & allowed[b]
+        du = patch.values[b][both] - patch.values[a][both]
+        rows.append(node[a][both])
+        cols.append(node[b][both])
+        lengths.append(np.sqrt((patch.h * dx) ** 2 + (patch.h * dy) ** 2 + du * du))
+    return sp.csr_matrix((np.concatenate(lengths), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
 class TestIntrinsicDistances:
     def grid(self, patch):
         return np.mgrid[0:patch.shape[0], 0:patch.shape[1]]
@@ -641,6 +663,36 @@ class TestIntrinsicDistances:
         sources = [tuple(n) for n in np.argwhere(within)[::23]] + [(0, 0), (ny // 2, 1)]
         d = intrinsic_distances(patch, sources, within=within)
         assert np.array_equal(d, heap_distances(patch, sources, within=within))
+
+    def test_graph_equal_to_the_coo_builder(self):
+        """On a disk crop with a wall cut out of it, the slice-built CSR
+        graph has the COO builder's indptr, indices and data, bit for bit."""
+        patch = solved_cap(1 / 32).final_patch
+        box = (slice(4, 40), slice(9, 50))
+        crop = GraphPatch(patch.x0, patch.y0, patch.h, patch.mask[box], patch.values[box])
+        Y, X = self.grid(crop)
+        within = (X != 17) | (Y < 6)
+        for allowed in (crop.mask, crop.mask & within):
+            graph, node = solver._grid_graph(crop, allowed)
+            ref = coo_graph(crop, allowed)
+            assert ref.nnz > 0 and not allowed.all()
+            assert np.array_equal(graph.indptr, ref.indptr)
+            assert np.array_equal(graph.indices, ref.indices)
+            assert np.array_equal(_bits(graph.data), _bits(ref.data))
+            assert np.array_equal(node[allowed], np.arange(np.count_nonzero(allowed)))
+            assert np.all(node[~allowed] == -1)
+
+    def test_limit_keeps_distances_within_it(self):
+        patch = solved_cap(1 / 32).final_patch
+        ny, nx = patch.shape
+        sources = [(ny // 2 - 3, nx // 2 + 4), (ny // 2 + 6, nx // 2 - 2)]
+        full = intrinsic_distances(patch, sources)
+        for limit in (0.0, patch.h, 0.3, float(np.median(full[patch.mask]))):
+            d = intrinsic_distances(patch, sources, limit=limit)
+            near = full <= limit
+            assert near.any() and not near[patch.mask].all()
+            assert np.array_equal(_bits(d[near]), _bits(full[near]))
+            assert np.all(np.isinf(d[~near]))
 
     def test_cap_distances_satisfy_bellman(self):
         patch = solved_cap(1 / 64).final_patch
@@ -814,7 +866,7 @@ _DAMAGED_BINARIES = {
     "garbage": lambda blob, _: [np.random.default_rng(3).bytes(len(blob))],
     "lone_array": _lone_array,
     "flipped_byte": lambda blob, _: [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
-                                     for i in range(0, len(blob), 13)],
+                                     for i in range(len(blob))],
 }
 
 
@@ -970,7 +1022,7 @@ class TestPatchIO:
         with monkeypatch.context() as m:
             m.setattr(np, "loadtxt", _no_text_parse)
             binary = GraphPatch.load(csv, hdr)
-        (tmp_path / "u.npz").unlink()
+        (tmp_path / "u.bin").unlink()
         text = GraphPatch.load(csv, hdr)
         _assert_same_patch(binary, text)
         _assert_same_patch(binary, patch)
@@ -1007,14 +1059,50 @@ class TestPatchIO:
 
     @pytest.mark.parametrize("damage", sorted(_DAMAGED_BINARIES))
     def test_damaged_binary_loads_through_text(self, tmp_path, damage):
-        """A binary that is truncated, garbage or damaged anywhere (every
-        13th byte flipped in turn) never raises: the text gives the patch."""
+        """A binary that is truncated, garbage, a lone .npy array or damaged
+        anywhere (every byte flipped in turn) never raises: the text gives
+        the patch."""
         patch = GraphPatch.disk((0.0, 0.0), 1.0, 1 / 4, boundary=0.125)
-        csv, hdr, npz = tmp_path / "u.csv", tmp_path / "u.json", tmp_path / "u.npz"
+        csv, hdr, binary = tmp_path / "u.csv", tmp_path / "u.json", tmp_path / "u.bin"
         patch.save(csv, hdr)
-        for blob in _DAMAGED_BINARIES[damage](npz.read_bytes(), tmp_path):
-            npz.write_bytes(blob)
+        for blob in _DAMAGED_BINARIES[damage](binary.read_bytes(), tmp_path):
+            binary.write_bytes(blob)
             _assert_same_patch(GraphPatch.load(csv, hdr), patch)
+
+    def test_binary_layout(self, tmp_path):
+        """A CRC line, a JSON line, then the arrays' raw bytes in order."""
+        patch = solved_cap(1 / 16).final_patch
+        csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
+        patch.save(csv, hdr)
+        blob = (tmp_path / "u.bin").read_bytes()
+        crc, meta, data = blob.split(b"\n", 2)
+        assert crc == b"%08x" % zlib.crc32(blob[9:])
+        meta = json.loads(meta)
+        assert meta["csv_sha256"] == hashlib.sha256(csv.read_bytes()).hexdigest()
+        assert meta["header_sha256"] == hashlib.sha256(hdr.read_bytes()).hexdigest()
+        arrays = [getattr(patch, name) for name in ("mask", "values") + _TIES]
+        assert meta["arrays"] == [[name, a.dtype.str, list(a.shape)]
+                                  for name, a in zip(("mask", "values") + _TIES, arrays)]
+        assert data == b"".join(a.tobytes() for a in arrays)
+
+    def test_old_npz_alone_loads_through_text(self, tmp_path, monkeypatch):
+        """The binary of earlier versions, an `np.savez` beside the CSV, is
+        not read: with no `.bin` the text gives the patch."""
+        patch = solved_cap(1 / 16).final_patch
+        csv, hdr = tmp_path / "u.csv", tmp_path / "u.json"
+        patch.save(csv, hdr)
+        (tmp_path / "u.bin").unlink()
+        np.savez(tmp_path / "u.npz", mask=patch.mask, values=patch.values)
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def no_npz_read(*args, **kwargs):
+            raise AssertionError("np.load read the old binary")
+
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parsed.append(a) or loadtxt(*a, **k))
+        monkeypatch.setattr(np, "load", no_npz_read)
+        _assert_same_patch(GraphPatch.load(csv, hdr), patch)
+        assert len(parsed) == 1
 
     def test_binary_bytes_repeat(self, tmp_path, monkeypatch):
         """Two saves of one patch, a day apart by the clock, write the same
@@ -1026,7 +1114,7 @@ class TestPatchIO:
             with monkeypatch.context() as m:
                 m.setattr(time, "time", lambda: now)
                 patch.save(tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
-            blobs.append((tmp_path / f"{name}.npz").read_bytes())
+            blobs.append((tmp_path / f"{name}.bin").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_missing_row_raises(self, tmp_path):
