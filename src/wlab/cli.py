@@ -251,14 +251,21 @@ def _cmd_linop(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _grid_node(value, name: str):
+    """`value` if it is a grid node [iy, ix] of two ints (a bool is none);
+    ValueError naming `name` otherwise."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+        raise ValueError(f"{name} must be two integer grid indices [iy, ix], got {value!r}")
+    return value
+
+
 def _cmd_blowup(cfg: ExperimentConfig) -> int:
     radius = float(cfg.params["radius"])
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"'radius' must be finite and > 0, got {radius!r}")
     center = cfg.params.get("center")
-    if center is not None and not (isinstance(center, list) and len(center) == 2
-                                   and all(type(v) is int for v in center)):
-        raise ValueError(f"'center' must be two integer grid indices [iy, ix], got {center!r}")
+    if center is not None:
+        _grid_node(center, "'center'")
     spec = cfg.params["patch"]
     if "load" in spec:
         patch = solver.GraphPatch.load(spec["load"]["csv"], spec["load"]["header"])
@@ -274,7 +281,8 @@ def _cmd_blowup(cfg: ExperimentConfig) -> int:
     if synth:
         sigma = np.where(patch.mask, float(synth.get("base", 1.0)), np.nan)
         for spike in synth.get("spikes", []):
-            iy, ix = patch.in_domain_node(spike["node"], "synthetic_sigma spike")
+            node = _grid_node(spike["node"], "synthetic_sigma spike 'node'")
+            iy, ix = patch.in_domain_node(node, "synthetic_sigma spike")
             sigma[iy, ix] += float(spike["amplitude"])
     if center is None:
         ny, nx = patch.shape

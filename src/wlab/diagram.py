@@ -4,9 +4,8 @@ A curvature diagram is the multiset of principal-curvature pairs
 (k1, k2), k1 >= k2, attained by a surface.  This module classifies
 diagrams against the quasiconformality inequality
 k1^2 + k2^2 <= 2*gamma*k1*k2, converts between the gamma constant and the
-Beltrami bound mu, computes the wedge of boundary slopes, tests membership
-in decreasing-envelope regions, evaluates Beltrami coefficients of metrics,
-and builds empirical diagrams from triangle meshes by quadric fitting.
+Beltrami bound mu, computes the wedge of boundary slopes, and builds
+empirical diagrams from triangle meshes by quadric fitting.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MeshError, RelationError
+from .errors import MeshError
 from .jets import h2_minus_k, mean_gauss
-from .relation import ScalarFunction
 
 ZERO_TOL = 1.0e-13          # absolute tolerance for "exactly zero" curvature
 FIT_COND_LIMIT = 1.0e8      # quadric fits above this condition number are skipped
@@ -130,100 +128,6 @@ def qc_classify(d: CurvatureDiagram) -> QCReport:
         mu = math.sqrt((gamma - 1.0) / (gamma + 1.0))
         return QCReport("positive_branch", gamma_star=gamma, mu=mu)
     return QCReport("plane_like")
-
-
-# ---------------------------------------------------------------------------
-# Envelope regions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PhiRegion:
-    """Region {x >= 0, phi1(x) <= y <= phi2(x)} (or its reflection across
-    (x, y) -> (-y, -x) when starred) with decreasing envelopes that vanish
-    at 0 and are bounded below by s0 < 0."""
-
-    phi1: ScalarFunction
-    phi2: ScalarFunction
-    s0: float
-    starred: bool = False
-
-    def __post_init__(self):
-        if not self.s0 < 0.0:
-            raise RelationError("envelope floor s0 must be negative")
-        probe = np.linspace(0.0, 50.0, 201)
-        probe = probe[np.asarray(self.phi1.domain.contains(probe), dtype=bool)]
-        v1 = np.asarray(self.phi1(probe), dtype=float)
-        v2 = np.asarray(self.phi2(probe), dtype=float)
-        tol = 1e-12
-        if abs(v1[0]) > 1e-9 or abs(v2[0]) > 1e-9:
-            raise RelationError("envelopes must vanish at x = 0")
-        if np.any(np.diff(v1) > tol) or np.any(np.diff(v2) > tol):
-            raise RelationError("envelopes must be decreasing")
-        if np.any(v1 > v2 + tol) or np.any(v2 > tol) or np.any(v1 < self.s0 - tol):
-            raise RelationError("envelopes must satisfy s0 <= phi1 <= phi2 <= 0")
-
-
-@dataclass
-class RegionCheck:
-    ok: bool
-    worst_index: Optional[int] = None
-    worst_violation: float = 0.0
-    worst_sample: Optional[tuple] = None
-
-
-def region_membership(d: CurvatureDiagram, reg: PhiRegion) -> RegionCheck:
-    """Check every sample against the region; vacuously true when empty.
-    Reports the worst violation (most positive excursion outside)."""
-    if len(d) == 0:
-        return RegionCheck(True)
-    x, y = d.samples[:, 0].copy(), d.samples[:, 1].copy()
-    if reg.starred:
-        x, y = -d.samples[:, 1], -d.samples[:, 0]
-    viol = np.maximum(-x, 0.0)
-    inside_x = x >= 0.0
-    xc = np.clip(x, 0.0, None)
-    cover = np.asarray(reg.phi1.domain.contains(xc), dtype=bool)
-    v1 = np.full_like(x, -np.inf)
-    v2 = np.full_like(x, np.inf)
-    v1[cover] = np.asarray(reg.phi1(xc[cover]), dtype=float)
-    v2[cover] = np.asarray(reg.phi2(xc[cover]), dtype=float)
-    viol = np.maximum(viol, np.where(inside_x, np.maximum(v1 - y, y - v2), viol))
-    worst = int(np.argmax(viol))
-    if viol[worst] <= 1e-12:
-        return RegionCheck(True)
-    return RegionCheck(False, worst, float(viol[worst]),
-                       (float(d.samples[worst, 0]), float(d.samples[worst, 1])))
-
-
-# ---------------------------------------------------------------------------
-# Beltrami quantities
-# ---------------------------------------------------------------------------
-
-def beltrami_of_metric(E, F, G):
-    """Conformal factor and Beltrami coefficient of the metric
-    E dx^2 + 2F dx dy + G dy^2: rho = (E + G + 2 sqrt(EG - F^2))/4 and
-    mu = (E - G + 2iF)/(4 rho), always |mu| < 1 for positive-definite input."""
-    E = np.asarray(E, dtype=float)
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    det = E * G - F * F
-    if np.any(E <= 0.0) or np.any(G <= 0.0) or np.any(det <= 0.0):
-        raise ValueError("metric must be positive definite (E, G, EG - F^2 > 0)")
-    rho = 0.25 * (E + G + 2.0 * np.sqrt(det))
-    mu = (E - G + 2.0j * F) / (4.0 * rho)
-    if np.any(np.abs(mu) >= 1.0):
-        raise AssertionError("Beltrami coefficient reached modulus 1 on a definite metric")
-    return rho, mu
-
-
-def gauss_beltrami_ratio(k1: float, k2: float) -> float:
-    """((k1 + k2)/(k1 - k2))^2, the squared Beltrami ratio of the projected
-    Gauss map in a conformal parameter; symmetric in k1 and k2, infinite at
-    umbilics."""
-    diff = k1 - k2
-    if diff == 0.0:
-        return math.inf
-    return ((k1 + k2) / diff) ** 2
 
 
 # ---------------------------------------------------------------------------

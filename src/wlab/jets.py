@@ -25,10 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, EllipticityError
-from .relation import ClosedForm, RelationSpec, certify_ellipticity, g_of
+from .relation import RelationSpec, certify_ellipticity, g_of
 
-FD_SCALE = 1.0e-6        # central-difference step: FD_SCALE * (1 + |component|)
-FD_MATCH_RTOL = 1.0e-6   # analytic vs finite-difference agreement requirement
 DEFAULT_MU0 = 10.0       # default l1 radius of the compact jet box
 
 
@@ -138,48 +136,6 @@ def residual_fields(g, p, q, r, s, t, with_gradient: bool = False):
     return H - gv, grads
 
 
-def weingarten_residual(rel: RelationSpec, j: Jet2) -> float:
-    """H - g(H^2-K) at the jet; zero iff the jet satisfies the relation."""
-    g = g_of(rel)
-    return float(residual_fields(g, j.p, j.q, j.r, j.s, j.t))
-
-
-def residual_gradient(rel: RelationSpec, j: Jet2, method: str = "auto") -> np.ndarray:
-    """First derivatives (F_p, F_q, F_r, F_s, F_t) of the residual.
-
-    method: "analytic" (chain rule through g'), "fd" (central differences
-    with component-scaled step), or "auto" (analytic when g' is available,
-    cross-checked against finite differences for closed forms).
-    """
-    g = g_of(rel)
-    if method not in ("auto", "analytic", "fd"):
-        raise ValueError(f"unknown gradient method {method!r}")
-
-    def fd() -> np.ndarray:
-        base = j.as_array()
-        out = np.empty(5)
-        for i in range(5):
-            h = FD_SCALE * (1.0 + abs(base[i]))
-            hi, lo = base.copy(), base.copy()
-            hi[i] += h
-            lo[i] -= h
-            out[i] = (float(residual_fields(g, *hi)) - float(residual_fields(g, *lo))) / (2.0 * h)
-        return out
-
-    if method == "fd":
-        return fd()
-    _, grads = residual_fields(g, j.p, j.q, j.r, j.s, j.t, with_gradient=True)
-    analytic = np.array([float(v) for v in grads])
-    if method == "auto" and isinstance(g, ClosedForm):
-        approx = fd()
-        scale = 1.0 + np.abs(analytic)
-        if np.max(np.abs(analytic - approx) / scale) > FD_MATCH_RTOL:
-            raise EllipticityError(
-                "analytic and finite-difference residual gradients disagree "
-                f"beyond {FD_MATCH_RTOL:g} at jet {j}")
-    return analytic
-
-
 # ---------------------------------------------------------------------------
 # Spectral quantities of the second-order symbol
 # ---------------------------------------------------------------------------
@@ -198,14 +154,6 @@ def q4_rewritten(x, y):
     y = np.asarray(y, dtype=float)
     u = x + y
     return (u * u - 2.0 * u - 2.0) ** 2 + 4.0 * x * y * (10.0 + x * x + 10.0 * y + y * y + x * (10.0 + 3.0 * y))
-
-
-def h2k_form_matrix(p: float, q: float) -> np.ndarray:
-    """3x3 symmetric matrix of (r,s,t) -> (1+p^2+q^2)^2 * (H^2-K)(p,q,r,s,t)."""
-    w2 = 1.0 + p * p + q * q
-    v = np.array([1.0 + q * q, -2.0 * p * q, 1.0 + p * p])
-    d = np.array([[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 0.0]])
-    return np.outer(v, v) / (4.0 * w2) + d
 
 
 def h2k_eigenvalues(p, q):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RelationError
-from .jets import g_at, mean_gauss, stencil_jets
+from .jets import mean_gauss, stencil_jets
 from .relation import RelationSpec, g_of
 from .solver import GraphPatch, jet_fields
 
@@ -127,14 +127,6 @@ def _curvatures_and_normal(X: np.ndarray):
             np.pad(n, ring + ((0, 0),), constant_values=np.nan))
 
 
-def parametrized_curvatures(X: np.ndarray):
-    """(H, K) of a parametrized surface patch X[(iy, ix)] in R^3 by centered
-    differences; the normal is the (continuous) cross-product orientation.
-    Valid one ring inside the array; NaN elsewhere."""
-    H, K, _ = _curvatures_and_normal(X)
-    return H, K
-
-
 def _varied_curvatures(patch: GraphPatch, phi: np.ndarray, tau_step: float) -> list:
     """[(H, K) at +tau, (H, K) at -tau] of the normal variations
     u +- tau*phi*N.  Raises when a varied surface stops being a graph
@@ -163,43 +155,9 @@ def variation_derivatives(patch: GraphPatch, phi: np.ndarray, tau_step: float = 
     return (H1 - H0) / (2.0 * tau_step), (K1 - K0) / (2.0 * tau_step)
 
 
-def weingarten_variation_rate(rel: RelationSpec, patch: GraphPatch, phi: np.ndarray,
-                              tau_step: float = DEFAULT_TAU) -> np.ndarray:
-    """Finite-difference rate of the residual under the normal variation:
-    [W(tau) - W(-tau)]/(2 tau) with W(tau) = H(tau) - g(H(tau)^2 - K(tau))."""
-    g = g_of(rel)
-    (H1, K1), (H0, K0) = _varied_curvatures(patch, phi, tau_step)
-    return ((H1 - g_at(g, H1, K1)) - (H0 - g_at(g, H0, K0))) / (2.0 * tau_step)
-
-
 # ---------------------------------------------------------------------------
 # The linearized operator
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearizedCoeffs:
-    """Pointwise coefficients of L_g at curvature state (H, K) (scalars or fields)."""
-
-    principal_laplacian_weight: float    # (1 - 2 g g')/2
-    t1_weight: float                     # g'
-    zeroth_order_q: float                # 2 g^2 (1 - 2 g g') - (1 - 4 g g') K
-
-
-def linearized_coeffs(rel: RelationSpec, H, K) -> LinearizedCoeffs:
-    """Coefficients of L_g at scalar or field (H, K); NaN passes through."""
-    # [()] turns g_at's 0-d arrays into scalars and leaves fields as they are
-    gv, gp = (v[()] for v in g_at(g_of(rel), H, K, derivative=True))
-    w = 1.0 - 2.0 * gv * gp
-    return LinearizedCoeffs(0.5 * w, gp, 2.0 * gv * gv * w - (1.0 - 4.0 * gv * gp) * K)
-
-
-def apply_lg_on_grid(rel: RelationSpec, patch: GraphPatch, phi: np.ndarray) -> np.ndarray:
-    """L_g[phi] with variable coefficients read from the patch's own jets."""
-    c = linearized_coeffs(rel, *mean_gauss(*jet_fields(patch)))
-    with np.errstate(invalid="ignore"):
-        return (c.principal_laplacian_weight * laplace_beltrami(patch, phi)
-                + c.t1_weight * div_t1_grad(patch, phi) + c.zeroth_order_q * phi)
-
 
 @dataclass(frozen=True)
 class CylinderOperator:
@@ -219,8 +177,8 @@ class CylinderOperator:
 def cylinder_operator(rel: RelationSpec, r0: float) -> CylinderOperator:
     """Constants of L_g on the cylinder of radius r0; rejects when the
     cylinder does not satisfy the relation (|g(H0^2) - H0| > 1e-10)."""
-    if r0 <= 0.0:
-        raise ValueError("cylinder radius must be positive")
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"cylinder radius 'r0' must be finite and > 0, got {r0!r}")
     g = g_of(rel)
     H0 = 1.0 / (2.0 * r0)
     gv = float(g(H0 * H0))
@@ -240,6 +198,7 @@ def cylinder_operator(rel: RelationSpec, r0: float) -> CylinderOperator:
 def perturbation_threshold(op: CylinderOperator, L: float, r: float) -> float:
     """-A (pi/2L)^2 - B (pi/2r)^2 + C; positive means L_g[phi] > 0 inside
     [-L, L] x [-r, r] for phi = cos(pi s/2L) cos(pi t/2r)."""
-    if L <= 0.0 or r <= 0.0:
-        raise ValueError("box half-sizes must be positive")
+    for key, value in (("L", L), ("r", r)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"box half-size {key!r} must be finite and > 0, got {value!r}")
     return -op.A * (math.pi / (2.0 * L)) ** 2 - op.B * (math.pi / (2.0 * r)) ** 2 + op.C

@@ -30,7 +30,6 @@ MINIMAL_TOL = 1.0e-10           # |g(0)| below this counts as minimal type
 UNIFORM_MARGIN = 1.0e-3         # sup 4t g'^2 <= 1 - margin to declare uniform
 _BOUNDED_TAIL_TOL = 0.05        # tail-flatness threshold for branch boundedness
 DOMAIN_TOL = 1.0e-12            # slack of the domain check on scalar-function arguments
-WEDGE_CHECK_POINTS = 512        # samples of f(x)/x in the wedge check
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,6 @@ class Interval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise RelationError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def is_full_line(self) -> bool:
-        return math.isinf(self.lo) and math.isinf(self.hi)
 
     def contains(self, x, tol: float = 0.0):
         x = np.asarray(x, dtype=float)
@@ -257,6 +252,8 @@ def _finite(params: dict, key: str) -> float:
 
 
 def scalar_function_from_json(obj: dict) -> ScalarFunction:
+    if not isinstance(obj, dict):
+        raise ValueError(f"relation 'function' must be a JSON object, got {obj!r}")
     if obj.get("kind") == "closed":
         params = dict(obj["params"])
         for key in params:
@@ -748,32 +745,3 @@ def umbilical_constant(rel: RelationSpec) -> Optional[float]:
     `certify_ellipticity(rel).umbilical_alpha` at the default grid."""
     a = _signed_umbilic(rel)
     return None if a is None else abs(a)
-
-
-def wedge_for_uniform_minimal(rel: RelationSpec) -> tuple:
-    """Slopes (m1, m2) = (-Lambda2, -Lambda1) of the wedge m1*x <= f(x) <= m2*x
-    containing the graph of f, for uniformly elliptic minimal-type relations.
-
-    Verified by sampling f(x)/x; rejects non-uniform or non-minimal input.
-    """
-    report = certify_ellipticity(rel)
-    if report.uniform_constant_Lambda is None:
-        raise EllipticityError("wedge containment needs a uniformly elliptic relation")
-    if not report.minimal_type:
-        raise EllipticityError("wedge containment needs a minimal-type relation (f(0) = 0)")
-    lam1, lam2 = report.f_slope_bounds
-    m1, m2 = -lam2, -lam1
-
-    f = f_function(rel) or g_to_f(rel).f
-    dom = f.domain
-    span = 2.0 / max(lam1, 1e-6)
-    lo = max(dom.lo, -span) if math.isfinite(dom.lo) else -span
-    hi = min(dom.hi, span) if math.isfinite(dom.hi) else span
-    xs = np.linspace(lo, hi, WEDGE_CHECK_POINTS)
-    xs = xs[np.abs(xs) > 1e-9]
-    ratio = np.asarray(f(xs), dtype=float) / xs
-    tol = 1e-9 * (1.0 + abs(m1))
-    if not np.all((ratio >= m1 - tol) & (ratio <= m2 + tol)):
-        worst = xs[int(np.argmax(np.maximum(m1 - ratio, ratio - m2)))]
-        raise EllipticityError(f"sampled f leaves the wedge near x = {worst:.9g}")
-    return (m1, m2)

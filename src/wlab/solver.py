@@ -416,14 +416,6 @@ def _interior_residual(g, values: np.ndarray, h: float, iy: np.ndarray, ix: np.n
         raise DomainError(f"{exc} at node (iy={iy[k]}, ix={ix[k]})") from None
 
 
-def residual_field(rel: RelationSpec, patch: GraphPatch) -> np.ndarray:
-    """Weingarten residual at each interior node (NaN elsewhere)."""
-    iy, ix = np.nonzero(patch.interior_mask())
-    out = np.full_like(patch.values, np.nan)
-    _, out[iy, ix] = _interior_residual(g_of(rel), patch.values, patch.h, iy, ix)
-    return out
-
-
 def second_fundamental_norm_field(patch: GraphPatch) -> np.ndarray:
     """|sigma| = sqrt(k1^2 + k2^2) = sqrt(4H^2 - 2K) per interior node (NaN elsewhere)."""
     H, K = mean_gauss(*jet_fields(patch))

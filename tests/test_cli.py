@@ -54,6 +54,17 @@ BAD_BLOWUP_INPUTS = {
     "boolean_center": {"center": [True, 4]},
     "three_index_center": {"center": [4, 4, 4]},
 }
+# spike nodes that are not two integers; int() would take each as node (4, 4) or (1, 4)
+BAD_SPIKE_NODES = {"fractional_spike_node": [4.7, 4.2], "boolean_spike_node": [True, 4]}
+LINOP_CFG = {"relation": {"kind": "cmc", "h0": 0.5}, "r0": 1.0, "L": 3.0, "r": 3.0}
+# linop inputs that exit 1, and the key each one names
+BAD_LINOP_INPUTS = {
+    "nan_cylinder_radius": {"r0": math.nan},
+    "infinite_cylinder_radius": {"r0": math.inf},
+    "nan_box_length": {"L": math.nan},
+    "infinite_box_length": {"L": math.inf},
+    "nan_box_width": {"r": math.nan},
+}
 
 
 class TestCertify:
@@ -199,8 +210,7 @@ class TestParallel:
 
 class TestLinop:
     def test_cmc_cylinder(self, tmp_path):
-        cfg = {"relation": {"kind": "cmc", "h0": 0.5}, "r0": 1.0, "L": 3.0, "r": 3.0}
-        code, outdir = run(tmp_path, "linop", cfg)
+        code, outdir = run(tmp_path, "linop", LINOP_CFG)
         assert code == 0
         report = json.loads((outdir / "linop_report.json").read_text())
         assert report["operator"]["A"] == 0.5
@@ -213,6 +223,16 @@ class TestLinop:
                "r0": 1.0}
         code, _ = run(tmp_path, "linop", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINOP_INPUTS))
+    def test_non_finite_radius_or_box_names_the_key(self, tmp_path, capsys, case):
+        extra = BAD_LINOP_INPUTS[case]
+        code, _ = run(tmp_path, "linop", dict(LINOP_CFG, **extra))
+        assert code == 1
+        err = capsys.readouterr().err
+        key, = extra
+        assert err.startswith("wlab: invalid parameter: ")
+        assert f"'{key}' must be finite and > 0" in err and err.count("\n") == 1
 
 
 class TestBlowup:
@@ -271,6 +291,17 @@ class TestBlowup:
         err = capsys.readouterr().err
         assert err == f"wlab: invalid parameter: synthetic_sigma spike ({node[0]}, {node[1]}) " \
                       "is not an in-domain node\n"
+        assert not (outdir / "blowup_report.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPIKE_NODES))
+    def test_non_integer_spike_node_names_the_key(self, tmp_path, capsys, case):
+        node = BAD_SPIKE_NODES[case]
+        cfg = dict(TINY_BLOWUP, synthetic_sigma={"spikes": [{"node": node, "amplitude": 3.0}]})
+        code, outdir = run(tmp_path, "blowup", cfg)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "wlab: invalid parameter: synthetic_sigma spike 'node' must be two integer grid "
+            f"indices [iy, ix], got {node!r}\n")
         assert not (outdir / "blowup_report.json").exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_BLOWUP_INPUTS))
@@ -388,6 +419,10 @@ def writes_no_blowup(outdir):
     assert not (outdir / "blowup_report.json").exists()
 
 
+def writes_no_linop_report(outdir):
+    assert not (outdir / "linop_report.json").exists()
+
+
 def reports_domain_violation(outdir):
     outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
     assert outcome["status"] == "domain_violation"
@@ -451,8 +486,18 @@ EXIT_CODES = {
     "infinite_closed_form_parameter": ("certify", lambda tmp: {"relation": dict(
         TWO_SQRT_T, function=dict(TWO_SQRT_T["function"], params={
             "scale": 2.0, "offset": math.inf, "shift": 0.0}))}, 1, writes_no_certify_report),
+    "list_function": ("certify", lambda tmp: {"relation": {"kind": "g", "function": [1, 2]}}, 1,
+                      writes_no_certify_report),
+    "string_function": ("certify", lambda tmp: {"relation": {"kind": "f", "function": "x"}}, 1,
+                        writes_no_certify_report),
     **{name: ("blowup", lambda tmp, extra=extra: dict(TINY_BLOWUP, **extra), 1, writes_no_blowup)
        for name, extra in BAD_BLOWUP_INPUTS.items()},
+    **{name: ("blowup", lambda tmp, node=node: dict(TINY_BLOWUP, synthetic_sigma={
+        "spikes": [{"node": node, "amplitude": 3.0}]}), 1, writes_no_blowup)
+       for name, node in BAD_SPIKE_NODES.items()},
+    **{name: ("linop", lambda tmp, extra=extra: dict(LINOP_CFG, **extra), 1,
+              writes_no_linop_report)
+       for name, extra in BAD_LINOP_INPUTS.items()},
 }
 
 

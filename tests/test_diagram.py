@@ -1,4 +1,4 @@
-"""Curvature-diagram classification, Beltrami quantities and mesh tests."""
+"""Curvature-diagram classification and mesh tests."""
 
 import math
 
@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import make_cylinder_mesh, make_flat_mesh, make_icosphere, write_obj
 from wlab import diagram
-from wlab.diagram import (FIT_BLOCK, FIT_COND_LIMIT, CurvatureDiagram, PhiRegion, QCReport,
-                          RegionCheck, TriMesh, _vertex_normals, beltrami_of_metric, gamma_mu,
-                          gamma_to_wedge, gauss_beltrami_ratio, load_obj, mesh_diagram, mu_gamma,
-                          qc_classify, region_membership, _load_obj_lines)
-from wlab.errors import MeshError, RelationError
+from wlab.diagram import (FIT_BLOCK, FIT_COND_LIMIT, CurvatureDiagram, QCReport, TriMesh,
+                          _vertex_normals, gamma_mu, gamma_to_wedge, load_obj, mesh_diagram,
+                          mu_gamma, qc_classify, _load_obj_lines)
+from wlab.errors import MeshError
 from wlab.jets import mean_gauss
-from wlab.relation import ClosedForm, GForm, Interval, SampledHermite, certify_ellipticity, g_to_f
+from wlab.relation import ClosedForm, GForm, certify_ellipticity
 
 
 class TestClassification:
@@ -148,157 +147,6 @@ class TestWedge:
         rep = qc_classify(d)
         assert rep.classification == "negative_branch"
         assert rep.gamma_star >= gamma - 1e-10
-
-
-class TestRegions:
-    def phi_pair(self, floor=-2.0):
-        phi1 = ClosedForm("affine", {"intercept": 0.0, "slope": -0.8},
-                          Interval(0.0, -floor / 0.8))
-        # piecewise-flat envelope via a Hermite sample: decreasing to the floor
-        xs = np.linspace(0.0, 50.0, 200)
-        vals = floor * (1.0 - np.exp(-xs))
-        ders = floor * np.exp(-xs)
-        phi_lo = SampledHermite(xs, vals, ders)
-        return phi_lo, phi1
-
-    def test_linear_weingarten_like_region(self):
-        phi_lo, _ = self.phi_pair(-2.0)
-        xs = np.linspace(0.0, 50.0, 200)
-        reg = PhiRegion(phi_lo, SampledHermite(xs, np.zeros_like(xs), np.zeros_like(xs)),
-                        s0=-2.5)
-        # samples on a curve descending to a finite asymptote stay inside
-        d = CurvatureDiagram(np.column_stack([xs[1:], -1.5 * (1 - np.exp(-xs[1:]))]))
-        chk = region_membership(d, reg)
-        assert chk.ok
-
-    def test_violation_reported(self):
-        phi_lo, _ = self.phi_pair(-2.0)
-        xs = np.linspace(0.0, 50.0, 200)
-        reg = PhiRegion(phi_lo, SampledHermite(xs, np.zeros_like(xs), np.zeros_like(xs)),
-                        s0=-2.5)
-        d = CurvatureDiagram(np.array([[1.0, -10.0]]))
-        chk = region_membership(d, reg)
-        assert not chk.ok
-        assert chk.worst_sample == (1.0, -10.0)
-        assert chk.worst_violation > 7.0
-
-    def test_empty_diagram_vacuous(self):
-        phi_lo, _ = self.phi_pair()
-        xs = np.linspace(0.0, 50.0, 200)
-        reg = PhiRegion(phi_lo, SampledHermite(xs, np.zeros_like(xs), np.zeros_like(xs)),
-                        s0=-2.5)
-        assert region_membership(CurvatureDiagram(np.empty((0, 2))), reg).ok
-
-    def test_starred_reflection(self):
-        phi_lo, _ = self.phi_pair(-2.0)
-        xs = np.linspace(0.0, 50.0, 200)
-        reg = PhiRegion(phi_lo, SampledHermite(xs, np.zeros_like(xs), np.zeros_like(xs)),
-                        s0=-2.5, starred=True)
-        # (x, y) in R* iff (-y, -x) in R: reflect an inside sample
-        inside = CurvatureDiagram(np.array([[1.0, -3.0]]))     # (-y,-x) = (3, -1): inside
-        assert region_membership(inside, reg).ok
-        outside = CurvatureDiagram(np.array([[10.0, -1.0]]))   # (1, -10): below phi1
-        assert not region_membership(outside, reg).ok
-
-    def test_fform_diagram_contained_in_envelope_region(self):
-        # the diagram of a bounded-below minimal-type relation sits inside a
-        # region whose lower envelope is the relation's own branch (floor at
-        # the asymptote) and whose upper envelope is zero
-        rel = GForm(ClosedForm("sqrt_offset", {"scale": 1.0, "offset": 1.0, "shift": -1.0}))
-        ff = g_to_f(rel, np.concatenate([[0.0], np.logspace(-8, 6, 2000)]))
-        xs_b = ff.f.breakpoints
-        up = xs_b >= 0.0
-        ys = np.asarray(ff.f(xs_b[up]))
-        d = CurvatureDiagram(np.column_stack([xs_b[up], ys]))
-        lo = SampledHermite(xs_b[up], ys, np.asarray(ff.f.derivative(xs_b[up])))
-        zero = SampledHermite(xs_b[up], np.zeros_like(ys), np.zeros_like(ys))
-        reg = PhiRegion(lo, zero, s0=-1.1)
-        assert region_membership(d, reg).ok
-        # and a floor violation is caught
-        poked = np.column_stack([xs_b[up], ys - 0.5])
-        assert not region_membership(CurvatureDiagram(poked), reg).ok
-
-    def test_envelope_validation(self):
-        xs = np.linspace(0.0, 10.0, 50)
-        rising = SampledHermite(xs, xs.copy(), np.ones_like(xs))
-        flat = SampledHermite(xs, np.zeros_like(xs), np.zeros_like(xs))
-        with pytest.raises(RelationError):
-            PhiRegion(rising, flat, s0=-1.0)
-        with pytest.raises(RelationError):
-            PhiRegion(flat, flat, s0=1.0)
-
-
-class TestBeltrami:
-    def test_conformal_zero(self):
-        rho, mu = beltrami_of_metric(1.0, 0.0, 1.0)
-        assert rho == 1.0 and mu == 0.0
-
-    def test_example(self):
-        rho, mu = beltrami_of_metric(4.0, 0.0, 1.0)
-        assert rho == pytest.approx(2.25)
-        assert mu == pytest.approx(1.0 / 3.0)
-
-    def test_conformal_family_exact_zero(self, rng):
-        for lam in rng.uniform(0.1, 10.0, 50):
-            _, mu = beltrami_of_metric(lam, 0.0, lam)
-            assert mu == 0.0
-
-    def test_random_spd_bounded(self, rng):
-        E = rng.uniform(0.05, 20.0, 100_000)
-        G = rng.uniform(0.05, 20.0, 100_000)
-        F = rng.uniform(-0.999, 0.999, 100_000) * np.sqrt(E * G)
-        _, mu = beltrami_of_metric(E, F, G)
-        assert np.max(np.abs(mu)) < 1.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            beltrami_of_metric(1.0, 2.0, 1.0)
-
-
-class TestGaussBeltramiRatio:
-    def test_minimal_zero(self):
-        assert gauss_beltrami_ratio(1.0, -1.0) == 0.0
-
-    def test_cylinder_one(self):
-        assert gauss_beltrami_ratio(2.0, 0.0) == 1.0
-
-    def test_umbilic_infinite(self):
-        assert gauss_beltrami_ratio(0.5, 0.5) == math.inf
-
-    @staticmethod
-    def discrete_ratio(g, h):
-        """|g_zbar|^2/|g_z|^2 by central differences on a conformal grid."""
-        gu = (g[1:-1, 2:] - g[1:-1, :-2]) / (2.0 * h)
-        gv = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2.0 * h)
-        gz = 0.5 * (gu - 1.0j * gv)
-        gzb = 0.5 * (gu + 1.0j * gv)
-        return np.abs(gzb) ** 2, np.abs(gz) ** 2
-
-    def test_catenoid_cross_check(self):
-        # conformal catenoid (cosh v cos u, cosh v sin u, v); the projected
-        # Gauss map is holomorphic so the ratio vanishes like (k1+k2)^2
-        h = 0.01
-        u, v = np.meshgrid(np.arange(-0.3, 0.3, h), np.arange(-0.3, 0.3, h))
-        N = np.stack([np.cos(u) / np.cosh(v), np.sin(u) / np.cosh(v), -np.tanh(v)], axis=-1)
-        g = (N[..., 0] + 1.0j * N[..., 1]) / (1.0 - N[..., 2])
-        num, den = self.discrete_ratio(g, h)
-        ratio = num / den
-        k1 = 1.0 / np.cosh(v[1:-1, 1:-1]) ** 2
-        exact = np.array([gauss_beltrami_ratio(k, -k) for k in k1.ravel()[:5]])
-        assert np.max(np.abs(exact)) == 0.0
-        assert np.max(ratio) < 1e-3
-
-    def test_cylinder_cross_check(self):
-        # conformal cylinder (cos u, sin u, v), inward normal: pair (1, 0),
-        # exact ratio 1
-        h = 0.01
-        u, v = np.meshgrid(np.arange(-0.4, 0.4, h), np.arange(-0.4, 0.4, h))
-        N = np.stack([-np.cos(u), -np.sin(u), np.zeros_like(u)], axis=-1)
-        g = (N[..., 0] + 1.0j * N[..., 1]) / (1.0 - N[..., 2])
-        num, den = self.discrete_ratio(g, h)
-        ratio = num / den
-        exact = gauss_beltrami_ratio(1.0, 0.0)
-        assert np.max(np.abs(ratio - exact)) < 1e-3
 
 
 class TestMeshes:
@@ -608,8 +456,3 @@ def test_report_json():
     blob = rep.to_json()
     assert blob["classification"] == "negative_branch"
     assert blob["wedge_slopes"] == [-2.0, -0.5]
-    assert isinstance(region_membership(CurvatureDiagram(np.empty((0, 2))),
-                                        PhiRegion(
-        SampledHermite(np.array([0.0, 1.0]), np.array([0.0, -0.5]), np.array([-0.5, -0.5])),
-        SampledHermite(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0])),
-        s0=-1.0)), RegionCheck)

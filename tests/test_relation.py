@@ -11,8 +11,7 @@ from wlab.errors import DomainError, EllipticityError, RelationError
 from wlab.relation import (CMC, DOMAIN_TOL, ClosedForm, FForm, FULL_LINE, GForm, HALF_LINE,
                            Interval, LinearWeingarten, SampledHermite, certify_ellipticity,
                            default_t_grid, f_function, f_to_g, g_of, g_to_f,
-                           relation_from_json, relation_to_json, umbilical_constant,
-                           wedge_for_uniform_minimal)
+                           relation_from_json, relation_to_json, umbilical_constant)
 
 
 def sqrt_rel(scale=1.0, offset=1.0, shift=0.0):
@@ -42,7 +41,7 @@ class TestCertify:
         assert rep.is_elliptic
         assert rep.sup_4tgp2 > 0.999
         assert rep.uniform_constant_Lambda is None
-        assert not rep.If_domain.is_full_line
+        assert not (math.isinf(rep.If_domain.lo) and math.isinf(rep.If_domain.hi))
 
     def test_minimal_bounded_branch_example(self):
         # g(t) = sqrt(t+1) - 1: t - g(t^2) = t - sqrt(t^2+1) + 1 in (0, 1]
@@ -205,25 +204,20 @@ def test_umbilical_constant_is_certified_alpha():
 
 
 class TestWedge:
+    """The certificate's f-slope bounds (Lambda1, Lambda2) are the wedge
+    -Lambda2*x <= f(x) <= -Lambda1*x of a minimal-type relation."""
+
     def test_minimal_affine_wedge(self):
-        assert wedge_for_uniform_minimal(MINIMAL_F) == pytest.approx((-1.0, -1.0))
+        assert certify_ellipticity(MINIMAL_F).f_slope_bounds == pytest.approx((1.0, 1.0))
 
     def test_cmc_zero_wedge(self):
-        assert wedge_for_uniform_minimal(CMC(0.0)) == pytest.approx((-1.0, -1.0))
+        assert certify_ellipticity(CMC(0.0)).f_slope_bounds == pytest.approx((1.0, 1.0))
 
     def test_slope_band_half_to_two(self):
         # scale 1/3 gives -f' in [1/2, 2] asymptotically
-        m1, m2 = wedge_for_uniform_minimal(sqrt_rel(scale=1.0 / 3.0, shift=-1.0 / 3.0))
-        assert m1 == pytest.approx(-2.0, rel=1e-3)
-        assert m2 == pytest.approx(-0.5, rel=1e-3)
-
-    def test_rejects_non_uniform(self):
-        with pytest.raises(EllipticityError):
-            wedge_for_uniform_minimal(LinearWeingarten(0.0, 1.0, 1.0))
-
-    def test_rejects_non_minimal(self):
-        with pytest.raises(EllipticityError):
-            wedge_for_uniform_minimal(CMC(1.0))
+        lam1, lam2 = certify_ellipticity(sqrt_rel(scale=1.0 / 3.0, shift=-1.0 / 3.0)).f_slope_bounds
+        assert lam1 == pytest.approx(0.5, rel=1e-3)
+        assert lam2 == pytest.approx(2.0, rel=1e-3)
 
 
 class TestBoundedBranchFamily:
@@ -243,7 +237,8 @@ class TestBoundedBranchFamily:
         rep = certify_ellipticity(rel)
         assert rep.minimal_type == minimal
         assert rep.bounded_branch == branch
-        assert (not rep.If_domain.is_full_line) == (branch != "neither")
+        full_line = math.isinf(rep.If_domain.lo) and math.isinf(rep.If_domain.hi)
+        assert (not full_line) == (branch != "neither")
 
     @pytest.mark.parametrize("scale,shift", [(1.0, 0.2), (-1.0, 0.3)])
     def test_sampled_g_finds_the_closed_form_branch(self, scale, shift):
@@ -445,4 +440,4 @@ def test_interval_contains():
     iv = Interval(-1.0, math.inf)
     assert iv.contains(0.0)
     assert not iv.contains(-1.5)
-    assert not iv.is_full_line
+    assert not (math.isinf(iv.lo) and math.isinf(iv.hi))

@@ -29,10 +29,18 @@ from scipy.sparse.linalg import spsolve as scipy_spsolve
 from wlab import solver
 from wlab.solver import (BlowupSelection, GraphPatch, blowup_select, intrinsic_distances,
                          jet_fields, nested_dissection, newton_solve, rescale_patch,
-                         rescale_relation, residual_field, second_fundamental_norm_field,
-                         spsolve, write_csv)
+                         rescale_relation, second_fundamental_norm_field, spsolve, write_csv)
 
 SQRT3_M2 = math.sqrt(3.0) - 2.0
+
+
+def residual_field(rel, patch):
+    """The residual `newton_solve` drives to zero, at each interior node
+    (NaN elsewhere)."""
+    iy, ix = np.nonzero(patch.interior_mask())
+    out = np.full_like(patch.values, np.nan)
+    _, out[iy, ix] = solver._interior_residual(g_of(rel), patch.values, patch.h, iy, ix)
+    return out
 
 
 def solved_cap(h, radius=1.0, H0=0.5, tol=1e-10):
