@@ -5,6 +5,8 @@
 
 Configs are JSON files; repeated --set overrides replace dotted keys, with
 values parsed as JSON where possible (bare words fall back to strings).
+A config is checked against its command's keys in `_KEYS`, and their
+defaults filled in, before the command runs.
 Every command writes a deterministic summary JSON (sorted keys, seed
 recorded, no timestamp; the wall-clock stamp goes to run_stamp.txt) plus
 CSV artifacts next to it.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -39,39 +42,18 @@ EXIT_SOLVER = 3
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: the command's parameter record plus run metadata."""
+    """Where one experiment writes, and the seed its summaries record."""
 
-    params: dict
     out_dir: Path
     seed: int
 
-    def __post_init__(self):
-        if not isinstance(self.params, dict):
-            raise ValueError(f"a config must be a JSON object, got {self.params!r}")
-        for key, value in self.params.items():
-            if key.startswith("tol") and not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"tolerance {key!r} must be positive, got {value!r}")
-
-    def relation(self) -> RelationSpec:
-        if "relation" not in self.params:
-            raise KeyError("config is missing 'relation'")
-        spec = self.params["relation"]
-        if isinstance(spec, str):
-            with open(spec) as fh:
-                spec = json.load(fh)
-        if not isinstance(spec, dict):
-            raise ValueError(f"relation must be a JSON object or a path to one, got {spec!r}")
-        return relation_from_json(spec)
-
     def write_summary(self, name: str, payload: dict):
+        # a non-finite number raises ValueError here, before any file opens
+        text = json.dumps({**payload, "seed": self.seed}, sort_keys=True, indent=2,
+                          allow_nan=False)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        payload = dict(payload)
-        payload["seed"] = self.seed
-        with open(self.out_dir / name, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(self.out_dir / "run_stamp.txt", "w") as fh:
-            fh.write(datetime.datetime.now().isoformat() + "\n")
+        (self.out_dir / name).write_text(text + "\n")
+        (self.out_dir / "run_stamp.txt").write_text(datetime.datetime.now().isoformat() + "\n")
 
 
 def _set_override(tree: dict, dotted: str, raw: str):
@@ -79,89 +61,199 @@ def _set_override(tree: dict, dotted: str, raw: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    keys = dotted.split(".")
+    *path, last = dotted.split(".")
     node = tree
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-        if not isinstance(node, dict):
-            raise ValueError(f"override path {dotted!r} crosses a non-object value")
-    node[keys[-1]] = value
+    for k in path:
+        node = node.setdefault(k, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ValueError(f"override path {dotted!r} crosses a non-object value")
+    node[last] = value
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Config keys: a check takes a key's quoted name and its JSON value, and
+# returns what the command reads or raises ValueError naming the key
 # ---------------------------------------------------------------------------
 
-def _cmd_certify(cfg: ExperimentConfig) -> int:
-    rel = cfg.relation()
-    report = certify_ellipticity(rel, t_max=float(cfg.params.get("t_max", DEFAULT_T_MAX)),
-                                 samples=int(cfg.params.get("samples", DEFAULT_SAMPLES)))
+
+def _child(name: str, key: str) -> str:
+    """The quoted name of `key` inside the object quoted as `name`."""
+    return f"{name[:-1]}.{key}'"
+
+
+def _real(value) -> bool:
+    """Whether `value` is a JSON number that is a finite double (a bool is none)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _kind(what: str, ok, convert=float):
+    """The check that returns `convert(value)` when `ok(value)`, and raises
+    "<name> must be <what>" otherwise."""
+    def check(name: str, value):
+        if not ok(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return convert(value)
+    return check
+
+
+def _integer(lo: int):
+    return _kind(f"an integer >= {lo}", lambda v: _real(v) and v == int(v) and v >= lo, int)
+
+
+def _reals(n: int):
+    return _kind(f"a list of {n} finite numbers",
+                 lambda v: isinstance(v, list) and len(v) == n and all(map(_real, v)),
+                 lambda v: tuple(map(float, v)))
+
+
+_finite = _kind("a finite number", _real)
+_positive = _kind("finite and > 0", lambda v: _real(v) and v > 0)
+_path = _kind("a file path", lambda v: isinstance(v, str), str)
+_node = _kind("two integer grid indices [iy, ix]",
+              lambda v: isinstance(v, list) and len(v) == 2 and all(type(i) is int for i in v),
+              tuple)
+_pairs = _kind("a list of [k1, k2] rows of finite numbers",
+               lambda v: isinstance(v, list) and all(
+                   isinstance(row, list) and len(row) == 2 and all(map(_real, row)) for row in v),
+               lambda v: np.array(v, dtype=float).reshape(-1, 2))
+
+
+def _relation(name: str, spec) -> RelationSpec:
+    """A relation object or the path of a JSON file holding one."""
+    if isinstance(spec, str):
+        with open(spec) as fh:
+            spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{name} must be a JSON object or a path to one, got {spec!r}")
+    return relation_from_json(spec)
+
+
+def _boundary(name: str, spec):
+    """A constant, or {"kind": "affine", "coeffs": [a, b, c]} for a + b*x + c*y."""
+    if not isinstance(spec, dict):
+        return _finite(name, spec)
+    if spec.get("kind") != "affine":
+        raise ValueError(f"{name} must be a number or an affine object, got {spec!r}")
+    a, b, c = _reals(3)(_child(name, "coeffs"), spec.get("coeffs"))
+    return lambda x, y: a + b * x + c * y
+
+
+def _domain(name: str, dom):
+    """The patch constructor of a disk or rectangle, taking (h, boundary=, init=)."""
+    kind = dom.get("type") if isinstance(dom, dict) else None
+    if kind == "disk":
+        return functools.partial(solver.GraphPatch.disk,
+                                 _reals(2)(_child(name, "center"), dom.get("center", [0.0, 0.0])),
+                                 _positive(_child(name, "radius"), dom.get("radius")))
+    if kind == "rectangle":
+        return functools.partial(solver.GraphPatch.rectangle,
+                                 _reals(4)(_child(name, "bounds"), dom.get("bounds")))
+    raise ValueError(f"{name} must be a disk or rectangle object, got {dom!r}")
+
+
+def _patch(name: str, spec) -> dict:
+    """{"load": [csv, header]}, or {"solve": the resolved keys of solve}."""
+    if isinstance(spec, dict) and "load" in spec:
+        load = spec["load"] if isinstance(spec["load"], dict) else {}
+        return {"load": [_path(_child(name, f"load.{k}"), load.get(k)) for k in ("csv", "header")]}
+    if isinstance(spec, dict) and "solve" in spec:
+        return {"solve": _resolve("solve", spec["solve"], _child(name, "solve"))}
+    raise ValueError(f"{name} must be an object holding 'load' or 'solve', got {spec!r}")
+
+
+def _sigma(name: str, spec):
+    """None for an empty object, else {"base": float, "spikes": [(node, amplitude)]}."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{name} must be an object, got {spec!r}")
+    spikes = spec.get("spikes", [])
+    if not (isinstance(spikes, list) and all(isinstance(s, dict) for s in spikes)):
+        raise ValueError(f"{_child(name, 'spikes')} must be a list of objects, got {spikes!r}")
+    return {"base": _finite(_child(name, "base"), spec.get("base", 1.0)),
+            "spikes": [(_node("synthetic_sigma spike 'node'", s.get("node")),
+                        _finite("synthetic_sigma spike 'amplitude'", s.get("amplitude")))
+                       for s in spikes]} if spec else None
+
+
+# command -> key -> (check, default); a default of ... makes the key required,
+# and one of None makes it optional
+_KEYS = {
+    "certify": {"relation": (_relation, ...), "t_max": (_positive, DEFAULT_T_MAX),
+                "samples": (_integer(2), DEFAULT_SAMPLES)},
+    "solve": {"relation": (_relation, ...), "domain": (_domain, ...), "h": (_positive, ...),
+              "boundary": (_boundary, 0.0), "init": (_finite, 0.0),
+              "tol_res": (_positive, solver.DEFAULT_TOL_RES),
+              "max_iter": (_integer(1), solver.DEFAULT_MAX_ITER),
+              "benchmark_center_value": (_finite, None)},
+    "revolve": {"relation": (_relation, ...), "seed_state": (_reals(3), ...),
+                "step": (_positive, geometry.DEFAULT_STEP),
+                "s_max": (_positive, geometry.DEFAULT_S_MAX)},
+    "diagram": {"mesh": (_path, None), "pairs_csv": (_path, None), "pairs": (_pairs, None)},
+    "parallel": {"relation": (_relation, ...), "a": (_finite, ...), "pairs": (_pairs, None)},
+    "linop": {"relation": (_relation, ...), "r0": (_positive, ...), "L": (_positive, 1.0),
+              "r": (_positive, 1.0)},
+    "blowup": {"patch": (_patch, ...), "radius": (_positive, ...), "center": (_node, None),
+               "synthetic_sigma": (_sigma, None)},
+}
+
+
+def _resolve(command: str, params, name: str = "") -> dict:
+    """`params` checked against the command's keys, defaults filled in;
+    ValueError naming the first key that is missing or bad.  Keys the
+    table does not list are ignored.  `name` quotes a nested config."""
+    if not isinstance(params, dict):
+        raise ValueError(f"{name or 'a config'} must be a JSON object, got {params!r}")
+    resolved = {}
+    for key, (check, default) in _KEYS[command].items():
+        key_name = _child(name, key) if name else repr(key)
+        value = params.get(key, default)
+        if value is ...:
+            raise ValueError(f"{key_name} is missing")
+        resolved[key] = None if value is None and default is None else check(key_name, value)
+    return resolved
+
+
+# ---------------------------------------------------------------------------
+# Commands: each reads its resolved keys `p`
+# ---------------------------------------------------------------------------
+
+def _cmd_certify(p: dict, cfg: ExperimentConfig) -> int:
+    report = certify_ellipticity(p["relation"], t_max=p["t_max"], samples=p["samples"])
     cfg.write_summary("certify_report.json", {
         "check": "ellipticity_certification",
-        "relation": relation_to_json(rel),
+        "relation": relation_to_json(p["relation"]),
         "report": report.to_json(),
     })
     return EXIT_OK if report.is_elliptic else EXIT_CERTIFICATION
 
 
-def _boundary_data(spec):
-    """Constant value, or {"kind": "affine", "coeffs": [a, b, c]} for a + b*x + c*y."""
-    if isinstance(spec, dict):
-        if spec.get("kind") != "affine":
-            raise ValueError(f"unknown boundary kind {spec.get('kind')!r}")
-        a, b, c = (float(v) for v in spec["coeffs"])
-        return lambda x, y: a + b * x + c * y
-    return float(spec)
+def _solve(p: dict) -> solver.SolveOutcome:
+    """The outcome of the Dirichlet problem resolved solve keys describe."""
+    patch = p["domain"](p["h"], boundary=p["boundary"], init=p["init"])
+    return solver.newton_solve(p["relation"], patch, tol_res=p["tol_res"], max_iter=p["max_iter"])
 
 
-def _build_patch(cfg: ExperimentConfig) -> solver.GraphPatch:
-    dom = cfg.params["domain"]
-    h = float(cfg.params["h"])
-    bc = _boundary_data(cfg.params.get("boundary", 0.0))
-    init = float(cfg.params.get("init", 0.0))
-    if dom["type"] == "disk":
-        return solver.GraphPatch.disk(tuple(dom.get("center", (0.0, 0.0))),
-                                      float(dom["radius"]), h, boundary=bc, init=init)
-    if dom["type"] == "rectangle":
-        return solver.GraphPatch.rectangle(tuple(dom["bounds"]), h, boundary=bc, init=init)
-    raise ValueError(f"unknown domain type {dom.get('type')!r}")
-
-
-def _solve(cfg: ExperimentConfig):
-    """(relation, SolveOutcome) of the Dirichlet problem a solve config describes."""
-    rel = cfg.relation()
-    outcome = solver.newton_solve(rel, _build_patch(cfg),
-                                  tol_res=float(cfg.params.get("tol_res", 1e-8)),
-                                  max_iter=int(cfg.params.get("max_iter", 40)))
-    return rel, outcome
-
-
-def _cmd_solve(cfg: ExperimentConfig) -> int:
-    rel, outcome = _solve(cfg)
+def _cmd_solve(p: dict, cfg: ExperimentConfig) -> int:
+    outcome = _solve(p)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     outcome.final_patch.save(cfg.out_dir / "solution.csv", cfg.out_dir / "solution_header.json")
     summary = {
         "check": "dirichlet_solve",
-        "relation": relation_to_json(rel),
+        "relation": relation_to_json(p["relation"]),
         "outcome": outcome.to_json(),
         "interior_nodes": int(outcome.final_patch.interior_mask().sum()),
     }
-    bench = cfg.params.get("benchmark_center_value")
-    if bench is not None and outcome.status == "converged":
-        ny, nx = outcome.final_patch.shape
-        center = outcome.final_patch.values[ny // 2, nx // 2]
+    if p["benchmark_center_value"] is not None and outcome.status == "converged":
+        center = outcome.final_patch.values[tuple(n // 2 for n in outcome.final_patch.shape)]
         summary["center_value"] = float(center)
-        summary["center_value_error"] = float(abs(center - float(bench)))
+        summary["center_value_error"] = float(abs(center - p["benchmark_center_value"]))
     cfg.write_summary("solve_report.json", summary)
     return EXIT_OK if outcome.status == "converged" else EXIT_SOLVER
 
 
-def _cmd_revolve(cfg: ExperimentConfig) -> int:
-    rel = cfg.relation()
-    seed_state = tuple(float(v) for v in cfg.params["seed_state"])
-    profile = geometry.rotational_profile(rel, seed_state,
-                                          step=float(cfg.params.get("step", geometry.DEFAULT_STEP)),
-                                          s_max=float(cfg.params.get("s_max", 10.0)))
+def _cmd_revolve(p: dict, cfg: ExperimentConfig) -> int:
+    profile = geometry.rotational_profile(p["relation"], p["seed_state"], step=p["step"],
+                                          s_max=p["s_max"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     solver.write_csv(cfg.out_dir / "profile.csv", "s,r,z,theta,kappa_m,kappa_p",
                      [profile.s, profile.r, profile.z, profile.theta, profile.kappa_m,
@@ -169,7 +261,7 @@ def _cmd_revolve(cfg: ExperimentConfig) -> int:
     period = geometry.detect_period(profile)
     cfg.write_summary("revolve_report.json", {
         "check": "rotational_profile_generation",
-        "relation": relation_to_json(rel),
+        "relation": relation_to_json(p["relation"]),
         "samples": len(profile),
         "termination": profile.reason,
         "period": period,
@@ -177,27 +269,18 @@ def _cmd_revolve(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _curvature_pairs(raw) -> np.ndarray:
-    """Inline `pairs` as an (N, 2) float array of [k1, k2] rows."""
-    ks = np.asarray(raw, dtype=float)
-    if ks.ndim != 2 or ks.shape[1] != 2:
-        raise ValueError(f"'pairs' must be a list of [k1, k2] rows, got shape {ks.shape}")
-    return ks
-
-
-def _cmd_diagram(cfg: ExperimentConfig) -> int:
-    if "mesh" in cfg.params:
-        mesh = diagram_mod.load_obj(cfg.params["mesh"])
-        diag = diagram_mod.mesh_diagram(mesh)
-    elif "pairs_csv" in cfg.params:
-        rows = np.loadtxt(cfg.params["pairs_csv"], delimiter=",", skiprows=1, ndmin=2)
+def _cmd_diagram(p: dict, cfg: ExperimentConfig) -> int:
+    if p["mesh"] is not None:
+        diag = diagram_mod.mesh_diagram(diagram_mod.load_obj(p["mesh"]))
+    elif p["pairs_csv"] is not None:
+        rows = np.loadtxt(p["pairs_csv"], delimiter=",", skiprows=1, ndmin=2)
         if len(rows) and rows.shape[1] < 2:
             raise ValueError(f"'pairs_csv' needs k1 and k2 columns, got {rows.shape[1]}")
         diag = diagram_mod.CurvatureDiagram(rows[:, :2], "synthetic")
-    elif "pairs" in cfg.params:
-        diag = diagram_mod.CurvatureDiagram(_curvature_pairs(cfg.params["pairs"]), "synthetic")
+    elif p["pairs"] is not None:
+        diag = diagram_mod.CurvatureDiagram(p["pairs"], "synthetic")
     else:
-        raise KeyError("diagram config needs 'mesh', 'pairs_csv' or 'pairs'")
+        raise ValueError("diagram config needs 'mesh', 'pairs_csv' or 'pairs'")
     report = diagram_mod.qc_classify(diag)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     solver.write_csv(cfg.out_dir / "diagram.csv", "k1,k2", diag.samples.T)
@@ -211,20 +294,16 @@ def _cmd_diagram(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_parallel(cfg: ExperimentConfig) -> int:
-    rel = cfg.relation()
-    a = float(cfg.params["a"])
-    conj = geometry.conjugate_relation(rel, a)
+def _cmd_parallel(p: dict, cfg: ExperimentConfig) -> int:
+    conj = geometry.conjugate_relation(p["relation"], p["a"])
     payload = {
         "check": "parallel_surface_conjugation",
-        "relation": relation_to_json(rel),
-        "offset": a,
+        "relation": relation_to_json(p["relation"]),
+        "offset": p["a"],
         "conjugated": relation_to_json(conj),
     }
-    pairs = cfg.params.get("pairs")
-    if pairs:
-        ks = _curvature_pairs(pairs)
-        rows = np.column_stack([ks, *geometry.parallel_curvatures(ks, a)])
+    if p["pairs"] is not None and len(p["pairs"]):
+        rows = np.column_stack([p["pairs"], *geometry.parallel_curvatures(p["pairs"], p["a"])])
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         solver.write_csv(cfg.out_dir / "parallel_pairs.csv",
                          "k1,k2,k1_offset,k2_offset,metric_factor_1,metric_factor_2", rows.T)
@@ -233,66 +312,41 @@ def _cmd_parallel(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_linop(cfg: ExperimentConfig) -> int:
-    rel = cfg.relation()
-    r0 = float(cfg.params["r0"])
-    op = linop.cylinder_operator(rel, r0)
-    L = float(cfg.params.get("L", 1.0))
-    r = float(cfg.params.get("r", 1.0))
-    critical_square = 0.5 * math.pi * math.sqrt((op.A + op.B) / op.C)
+def _cmd_linop(p: dict, cfg: ExperimentConfig) -> int:
+    op = linop.cylinder_operator(p["relation"], p["r0"])
     cfg.write_summary("linop_report.json", {
         "check": "cylinder_linearized_operator",
-        "relation": relation_to_json(rel),
+        "relation": relation_to_json(p["relation"]),
         "operator": op.to_json(),
-        "threshold": linop.perturbation_threshold(op, L, r),
-        "box": [L, r],
-        "critical_square_half_size": critical_square,
+        "threshold": linop.perturbation_threshold(op, p["L"], p["r"]),
+        "box": [p["L"], p["r"]],
+        "critical_square_half_size": 0.5 * math.pi * math.sqrt((op.A + op.B) / op.C),
     })
     return EXIT_OK
 
 
-def _grid_node(value, name: str):
-    """`value` if it is a grid node [iy, ix] of two ints (a bool is none);
-    ValueError naming `name` otherwise."""
-    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
-        raise ValueError(f"{name} must be two integer grid indices [iy, ix], got {value!r}")
-    return value
-
-
-def _cmd_blowup(cfg: ExperimentConfig) -> int:
-    radius = float(cfg.params["radius"])
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"'radius' must be finite and > 0, got {radius!r}")
-    center = cfg.params.get("center")
-    if center is not None:
-        _grid_node(center, "'center'")
-    spec = cfg.params["patch"]
+def _cmd_blowup(p: dict, cfg: ExperimentConfig) -> int:
+    spec = p["patch"]
     if "load" in spec:
-        patch = solver.GraphPatch.load(spec["load"]["csv"], spec["load"]["header"])
+        patch = solver.GraphPatch.load(*spec["load"])
     else:
-        _, outcome = _solve(ExperimentConfig(spec["solve"], cfg.out_dir, cfg.seed))
+        outcome = _solve(spec["solve"])
         if outcome.status != "converged":
             return EXIT_SOLVER
         patch = outcome.final_patch
-    sigma = None
-    synth = cfg.params.get("synthetic_sigma")
-    if synth is not None and not isinstance(synth, dict):
-        raise ValueError(f"synthetic_sigma must be an object, got {synth!r}")
-    if synth:
-        sigma = np.where(patch.mask, float(synth.get("base", 1.0)), np.nan)
-        for spike in synth.get("spikes", []):
-            node = _grid_node(spike["node"], "synthetic_sigma spike 'node'")
+    sigma, synth = None, p["synthetic_sigma"]
+    if synth is not None:
+        sigma = np.where(patch.mask, synth["base"], np.nan)
+        for node, amplitude in synth["spikes"]:
             iy, ix = patch.in_domain_node(node, "synthetic_sigma spike")
-            sigma[iy, ix] += float(spike["amplitude"])
-    if center is None:
-        ny, nx = patch.shape
-        center = (ny // 2, nx // 2)
-    sel = solver.blowup_select(patch, center, radius, sigma_field=sigma)
+            sigma[iy, ix] += amplitude
+    center = p["center"] or tuple(n // 2 for n in patch.shape)
+    sel = solver.blowup_select(patch, center, p["radius"], sigma_field=sigma)
     cfg.write_summary("blowup_report.json", {
         "check": "blowup_maximizer_selection",
         "selection": sel.to_json(),
-        "radius": radius,
-        "synthetic_sigma": bool(synth),
+        "radius": p["radius"],
+        "synthetic_sigma": synth is not None,
     })
     return EXIT_OK
 
@@ -343,13 +397,13 @@ def main(argv=None) -> int:
             if not _:
                 raise ValueError(f"override {item!r} is not KEY=VALUE")
             _set_override(params, key, raw)
-        cfg = ExperimentConfig(params, Path(args.out), args.seed)
-    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"wlab: config error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     try:
-        return _DISPATCH[args.command](cfg)
+        return _DISPATCH[args.command](_resolve(args.command, params),
+                                       ExperimentConfig(Path(args.out), args.seed))
     except (KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"wlab: input error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -23,6 +23,8 @@ from .solver import GraphPatch, jet_fields
 POLE_GUARD = 1.0e-9
 AXIS_RADIUS = 1.0e-6
 DEFAULT_STEP = 1.0e-3
+DEFAULT_S_MAX = 10.0
+MAX_PROFILE_STEPS = 1_000_000   # ceil(s_max / step) above this is rejected before integrating
 PERIOD_TOL = 1.0e-4      # miss distance of a phase-space return in detect_period
 
 
@@ -162,7 +164,7 @@ class ProfileCurve:
 
 
 def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STEP,
-                       s_max: float = 10.0) -> ProfileCurve:
+                       s_max: float = DEFAULT_S_MAX) -> ProfileCurve:
     """Integrate r' = cos(theta), z' = sin(theta), theta' = f(sin(theta)/r)
     by the classical fixed-step fourth-order scheme.
 
@@ -171,10 +173,14 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
     times, once per stage, and take one sine and one cosine per stage.
     Stops at s_max, at axis contact (a stage radius below 1e-6), or when
     sin(theta)/r leaves the domain of f; the truncated curve records the
-    reason.  The step and s_max must be finite and positive.
+    reason.  The step and s_max must be finite and positive, and s_max / step
+    at most MAX_PROFILE_STEPS.
     """
     if not (math.isfinite(step) and step > 0.0 and math.isfinite(s_max) and s_max > 0.0):
         raise ValueError(f"profile needs a finite step > 0 and s_max > 0, got {step!r}, {s_max!r}")
+    if s_max / step > MAX_PROFILE_STEPS:
+        raise ValueError(f"profile of s_max / step = {s_max / step:.6g} steps exceeds "
+                         f"{MAX_PROFILE_STEPS}")
     f = f_function(rel) or g_to_f(rel).f
     r, z, th = (float(v) for v in seed)
     if r < AXIS_RADIUS:

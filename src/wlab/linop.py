@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RelationError
+from .errors import EllipticityError, RelationError
 from .jets import mean_gauss, stencil_jets
 from .relation import RelationSpec, g_of
 from .solver import GraphPatch, jet_fields
@@ -176,7 +176,8 @@ class CylinderOperator:
 
 def cylinder_operator(rel: RelationSpec, r0: float) -> CylinderOperator:
     """Constants of L_g on the cylinder of radius r0; rejects when the
-    cylinder does not satisfy the relation (|g(H0^2) - H0| > 1e-10)."""
+    cylinder does not satisfy the relation (|g(H0^2) - H0| > 1e-10), and
+    when it is not elliptic there (4 H0^2 g'(H0^2)^2 >= 1: A or B <= 0)."""
     if not 0.0 < r0 < math.inf:
         raise ValueError(f"cylinder radius 'r0' must be finite and > 0, got {r0!r}")
     g = g_of(rel)
@@ -189,6 +190,10 @@ def cylinder_operator(rel: RelationSpec, r0: float) -> CylinderOperator:
     gp = float(g.derivative(H0 * H0))
     if not math.isfinite(gp):
         raise RelationError("g is not differentiable at the cylinder state")
+    symbol = 4.0 * H0 * H0 * gp * gp
+    if symbol >= 1.0:
+        raise EllipticityError(f"cylinder of radius {r0} is not elliptic: "
+                               f"4 H0^2 g'(H0^2)^2 = {symbol:.12g} >= 1")
     A = 0.5 * (1.0 - 2.0 * H0 * gp)
     B = A + 2.0 * H0 * gp
     C = 4.0 * A * H0 * H0

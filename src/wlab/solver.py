@@ -66,6 +66,8 @@ KRYLOV_CYCLES = 3            # GMRES restart cycles before the step is refactore
 KRYLOV_REFACTOR_ITERS = 15   # more GMRES iterations than this: factor the next Jacobian
 FORCING_GAMMA = 0.1          # Eisenstat-Walker choice 2: eta = gamma (|w_k| / |w_{k-1}|)^2
 FORCING_MAX = 0.1            # loosest relative residual a Newton step asks of GMRES
+DEFAULT_TOL_RES = 1.0e-8     # sup-norm residual at which Newton stops
+DEFAULT_MAX_ITER = 40
 
 BoundaryData = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -137,7 +139,11 @@ class GraphPatch:
 
     def in_domain_node(self, node, what: str) -> tuple:
         """(iy, ix) of `node` as ints; ValueError naming `what` unless it is
-        a grid node inside the domain mask."""
+        two integers (numpy integers too, a bool is none) naming a grid node
+        inside the domain mask."""
+        if not (len(node) == 2 and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                       for v in node)):
+            raise ValueError(f"{what} {node!r} is not two integer grid indices")
         iy, ix = (int(v) for v in node)
         ny, nx = self.shape
         if not (0 <= iy < ny and 0 <= ix < nx) or not self.mask[iy, ix]:
@@ -673,8 +679,8 @@ class _System:
         np.cumsum(counts, out=self._indptr[1:])
 
 
-def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = 1e-10,
-                 max_iter: int = 50) -> SolveOutcome:
+def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = DEFAULT_TOL_RES,
+                 max_iter: int = DEFAULT_MAX_ITER) -> SolveOutcome:
     """Damped Newton for the Weingarten graph PDE with Dirichlet data.
 
     Armijo backtracking on the residual 2-norm (factor 0.5, minimum step

@@ -1,21 +1,31 @@
 """Batch front-end tests: exit codes, artifacts, determinism, overrides."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wlab
 from conftest import make_icosphere, write_obj
 from wlab import diagram, geometry
-from wlab.cli import ExperimentConfig, _solve, main
+from wlab.cli import EXIT_IO, _KEYS, _resolve, _solve, main
 from wlab.relation import (DEFAULT_T_MAX, LinearWeingarten, f_function, relation_from_json,
                            relation_to_json)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(tmp_path, command, config, out="out", extra=()):
@@ -108,7 +118,7 @@ class TestSolve:
         assert report["outcome"]["status"] == "converged"
         assert abs(report["center_value"] - (math.sqrt(3.0) - 2.0)) < 5e-3
         assert (outdir / "solution_header.json").exists()
-        patch = _solve(ExperimentConfig(SOLVE_CFG, outdir, 0))[1].final_patch
+        patch = _solve(_resolve("solve", SOLVE_CFG)).final_patch
         X, Y = patch.xy()
         assert_exact_csv(outdir / "solution.csv",
                          [X[patch.mask], Y[patch.mask], patch.values[patch.mask]])
@@ -423,6 +433,10 @@ def writes_no_linop_report(outdir):
     assert not (outdir / "linop_report.json").exists()
 
 
+def writes_no_solve_report(outdir):
+    assert not (outdir / "solve_report.json").exists()
+
+
 def reports_domain_violation(outdir):
     outcome = json.loads((outdir / "solve_report.json").read_text())["outcome"]
     assert outcome["status"] == "domain_violation"
@@ -444,6 +458,24 @@ MOBIUS_NATURAL = {"relation": dict(MOBIUS_TO_POLE, function=dict(MOBIUS_TO_POLE[
 TINY_BLOWUP = {"patch": {"solve": dict(SOLVE_CFG, h=0.25)}, "radius": 0.5}
 UNDULOID = {"relation": {"kind": "cmc", "h0": 0.5}, "seed_state": [0.5, 0.0, math.pi / 2],
             "s_max": 1.0}
+# inputs the key table rejects (exit 1, one line) that the commands used to
+# run on or crash on: (command, base config, bad keys, output check)
+CONFIG_GAPS = {
+    "infinite_disk_radius": ("solve", SOLVE_CFG, {"domain": dict(SOLVE_CFG["domain"],
+                                                                 radius=math.inf)}, None),
+    "zero_newton_steps": ("solve", SOLVE_CFG, {"max_iter": 0}, writes_no_solve_report),
+    "fractional_newton_steps": ("solve", SOLVE_CFG, {"max_iter": 2.5}, writes_no_solve_report),
+    "nan_initial_guess": ("solve", SOLVE_CFG, {"init": math.nan}, writes_no_solve_report),
+    "nan_benchmark_center_value": ("solve", SOLVE_CFG, {"benchmark_center_value": math.nan},
+                                   writes_no_solve_report),
+    "nan_inline_pair": ("diagram", {}, {"pairs": [[1, math.nan], [2, 1]]}, writes_no_diagram),
+    "nan_certification_range": ("certify", {"relation": CMC_REL}, {"t_max": math.nan},
+                                writes_no_certify_report),
+    "fractional_certification_samples": ("certify", {"relation": CMC_REL}, {"samples": 2.5},
+                                         writes_no_certify_report),
+    "nan_parallel_offset": ("parallel", PARALLEL_CFG, {"a": math.nan}, None),
+    "profile_past_the_bound": ("revolve", UNDULOID, {"step": 1e-300}, None),
+}
 EXIT_CODES = {
     "scaled_cap_solves": ("solve", lambda tmp: SCALED_CAP, 0, None),
     "overwide_disk_fails": ("solve", lambda tmp: OVERWIDE_DISK, 3, None),
@@ -498,17 +530,28 @@ EXIT_CODES = {
     **{name: ("linop", lambda tmp, extra=extra: dict(LINOP_CFG, **extra), 1,
               writes_no_linop_report)
        for name, extra in BAD_LINOP_INPUTS.items()},
+    # g = 4 sqrt(t) - 1.5 holds on the unit cylinder, where 4 H0^2 g'^2 = 16: A < 0
+    "non_elliptic_cylinder": ("linop", lambda tmp: dict(LINOP_CFG, relation=dict(
+        TWO_SQRT_T, function=dict(TWO_SQRT_T["function"], params={
+            "scale": 4.0, "offset": 0.0, "shift": -1.5}))), 2, writes_no_linop_report),
+    **{name: (command, lambda tmp, base=base, extra=extra: dict(base, **extra), 1, check)
+       for name, (command, base, extra, check) in CONFIG_GAPS.items()},
+    # 1e309 parses as inf
+    "overflowing_boundary": ("solve", lambda tmp: json.dumps(SOLVE_CFG)[:-1]
+                             + ', "boundary": 1e309}', 1, writes_no_solve_report),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CODES))
-def test_exit_code_table(tmp_path, case):
+def test_exit_code_table(tmp_path, capsys, case):
     command, make_config, expected, check = EXIT_CODES[case]
     config = make_config(tmp_path)
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     outdir = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(outdir)]) == expected
+    if expected == EXIT_IO:     # an input failure says why in one line
+        assert capsys.readouterr().err.count("\n") == 1
     if check is not None:
         check(outdir)
 
@@ -633,3 +676,76 @@ def test_commands_load_scipy_only_where_used(tmp_path):
         assert code == 0 and module in loaded, name
     # scipy.interpolate would add 0.3-0.5 s; no command needs it
     assert not any(m.startswith("scipy.interpolate") for m in steps["blowup"][1])
+
+
+# each command's worked example above, and the values one of its keys is
+# given in turn: non-finite, out of range, mistyped or of the wrong shape
+WORKED_EXAMPLES = {
+    "certify": {"relation": CMC_REL},
+    "solve": SOLVE_CFG,
+    "revolve": UNDULOID,
+    "diagram": {"pairs": [[2.0, -1.0], [1.0, -0.5]]},
+    "parallel": {"relation": CMC_REL, "a": 1.0, "pairs": [[2.0, 0.0], [0.3, -1.7]]},
+    "linop": LINOP_CFG,
+    "blowup": dict(TINY_BLOWUP, synthetic_sigma={"spikes": [{"node": [4, 4], "amplitude": 3.0}]}),
+}
+BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 0.5, "x", None, [], {}, [[0.5]],
+              [1, 2, 3, 4, 5]]
+
+
+@st.composite
+def one_bad_value(draw):
+    command = draw(st.sampled_from(sorted(WORKED_EXAMPLES)))
+    example = WORKED_EXAMPLES[command]
+    key = draw(st.sampled_from(sorted(set(example) | set(_KEYS[command]))))
+    return command, dict(example, **{key: draw(st.sampled_from(BAD_VALUES))})
+
+
+def no_constant(name):
+    raise AssertionError(f"a report holds {name}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_bad_value())
+def test_one_bad_value_ends_in_an_exit_code(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        path, err = Path(tmp) / "config.json", io.StringIO()
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2, 3)
+        # a warning would print two more lines
+        assert err.getvalue().count("\n") <= 1 and not caught, (err.getvalue(), caught)
+        for report in Path(tmp).glob("out/*.json"):
+            json.loads(report.read_text(), parse_constant=no_constant)
+
+
+def readme_key_table() -> dict:
+    """command -> key -> default of the README's key table.  A default is
+    the one-element JSON list after its key, `[none]` is None, and a key
+    with none is required (...); parenthesized notes are skipped."""
+    lines = README.read_text().splitlines()
+    table = {}
+    for line in lines[lines.index("| command | keys |") + 2:]:
+        row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if row is None:
+            break
+        depth, cell = 0, ""
+        for ch in row[2]:
+            depth += ch == "("
+            cell += ch if depth == 0 else ""
+            depth -= ch == ")"
+        keys = table[row[1]] = {}
+        for m in re.finditer(r"`(\w+)`( \[none\])?( \[)?", cell):
+            keys[m[1]] = (None if m[2] else ... if not m[3] else
+                          json.JSONDecoder().raw_decode(cell, m.start(3) + 1)[0][0])
+    return table
+
+
+def test_readme_key_table_is_the_code_table():
+    table = readme_key_table()
+    assert sorted(table) == sorted(_KEYS)
+    for command, keys in _KEYS.items():
+        assert table[command] == {key: default for key, (_, default) in keys.items()}, command

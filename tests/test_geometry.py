@@ -382,6 +382,20 @@ class TestRotationalProfiles:
         with pytest.raises(ValueError, match="finite step"):
             rotational_profile(CMC(0.5), (0.5, 0.0, math.pi / 2), step=step, s_max=s_max)
 
+    @pytest.mark.parametrize("step, s_max", [(1e-300, 1.0), (1e-10, 1e308)])
+    def test_profile_past_the_bound_rejected(self, step, s_max):
+        """1e300 steps, and a step count that overflows to inf, are refused
+        before any step is taken."""
+        with pytest.raises(ValueError, match="exceeds 1000000"):
+            rotational_profile(CMC(0.5), (0.5, 0.0, math.pi / 2), step=step, s_max=s_max)
+
+    def test_profile_at_the_bound_runs(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_PROFILE_STEPS", 10)
+        seed = (0.5, 0.0, math.pi / 2)
+        assert len(rotational_profile(CMC(0.5), seed, step=0.1, s_max=1.0)) == 11
+        with pytest.raises(ValueError, match="exceeds 10$"):
+            rotational_profile(CMC(0.5), seed, step=0.1, s_max=1.05)
+
     def test_seed_on_the_axis_rejected(self):
         with pytest.raises(RelationError, match=r"^profile seed is not integrable: r = 5e-07 is on"):
             rotational_profile(CMC(0.5), (5e-7, 0.0, math.pi / 2))

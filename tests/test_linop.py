@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import centered_bump, cylinder_patch, plane_patch, sphere_patch
-from wlab.errors import RelationError
+from wlab.errors import EllipticityError, RelationError
 from wlab.jets import g_at
 from wlab.linop import (CylinderOperator, _curvatures_and_normal, _varied_curvatures,
                         cylinder_operator, laplace_beltrami, perturbation_threshold,
                         variation_derivatives, variation_rhs_fields)
-from wlab.relation import CMC, LinearWeingarten, g_of
+from wlab.relation import CMC, HALF_LINE, ClosedForm, GForm, LinearWeingarten, g_of
 
 
 def weingarten_variation_rate(rel, patch, phi, tau_step):
@@ -116,6 +116,13 @@ class TestCylinderOperator:
         # the cylinder (1, 0) does not satisfy 2*0*H + K = 1
         with pytest.raises(RelationError, match="does not satisfy"):
             cylinder_operator(LinearWeingarten(0.0, 1.0, 1.0), 1.0)
+
+    def test_non_elliptic_cylinder_rejected(self):
+        # g = 4 sqrt(t) - 1.5 holds on the unit cylinder (H0 = 1/2), where
+        # g' = 4 and 4 H0^2 g'^2 = 16: A = -1.5 < 0
+        g = ClosedForm("sqrt_offset", {"scale": 4.0, "offset": 0.0, "shift": -1.5}, HALF_LINE)
+        with pytest.raises(EllipticityError, match=r"not elliptic: .* = 16 >= 1$"):
+            cylinder_operator(GForm(g), 1.0)
 
     def test_fd_cross_check_via_variation(self):
         # A phi_ss + B phi_tt + C phi from the residual variation rate on a

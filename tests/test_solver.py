@@ -571,6 +571,14 @@ class TestBlowup:
         with pytest.raises(ValueError):
             blowup_select(patch, (0, 0), 0.01)          # no usable node in the disk
 
+    @pytest.mark.parametrize("center", [(4.7, 4.2), (True, 4), (4.0, 4)])
+    def test_center_of_non_integers_rejected(self, center):
+        """int() would take each as node (4, 4) or (1, 4)."""
+        patch = solved_cap(0.25).final_patch
+        with pytest.raises(ValueError, match="not two integer grid indices"):
+            blowup_select(patch, center, 0.5)
+        assert blowup_select(patch, np.array([4, 4]), 0.5) == blowup_select(patch, (4, 4), 0.5)
+
     def test_distance_symmetry(self):
         patch = GraphPatch.rectangle((0, 1, 0, 1), 1 / 8)
         ny, nx = patch.shape
