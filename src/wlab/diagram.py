@@ -45,9 +45,6 @@ class CurvatureDiagram:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def scaled(self, lam: float) -> "CurvatureDiagram":
-        return CurvatureDiagram(self.samples * lam, self.source, dict(self.notes))
-
 
 # ---------------------------------------------------------------------------
 # Quasiconformality classification

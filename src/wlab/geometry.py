@@ -9,6 +9,7 @@ curvature is sin(theta)/r, and the relation ties one to the other.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -26,31 +27,6 @@ DEFAULT_STEP = 1.0e-3
 DEFAULT_S_MAX = 10.0
 MAX_PROFILE_STEPS = 1_000_000   # ceil(s_max / step) above this is rejected before integrating
 PERIOD_TOL = 1.0e-4      # miss distance of a phase-space return in detect_period
-
-
-@dataclass(frozen=True)
-class ParallelParams:
-    """Offset distance with its curvature-avoidance margin: every curvature
-    sample must keep |k - t0| >= epsilon, t0 = 1/a, for the offset at
-    distance a to be immersed and complete."""
-
-    a: float
-    epsilon: float
-
-    def __post_init__(self):
-        if self.a == 0.0:
-            raise RelationError("parallel offset distance must be nonzero")
-        if self.epsilon <= 0.0:
-            raise RelationError("regularity margin epsilon must be positive")
-
-    @property
-    def t0(self) -> float:
-        return 1.0 / self.a
-
-    def admissible(self, ks) -> bool:
-        """Whether every curvature in the (N, 2) array `ks` keeps the margin."""
-        ks = np.asarray(ks, dtype=float)
-        return bool(np.all(np.abs(ks - self.t0) >= self.epsilon))
 
 
 def f_a(t, a: float):
@@ -193,7 +169,8 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
         raise RelationError(f"profile seed is not integrable: {exc}") from exc
     n_steps = int(math.ceil(s_max / step))
     half, sixth = 0.5 * step, step / 6.0
-    out = [(0.0, r, z, th, km, kp)]
+    # each sample is a row of six float64s, 48 bytes, read without a copy
+    out = array.array("d", (0.0, r, z, th, km, kp))
     reason = "s_max"
     # stage j is at radius rj and angle tj, with sj, cj = sin(tj), cos(tj) and
     # kappa_m = mj; the step's first stage is the state itself, (s1, c1, km)
@@ -222,12 +199,12 @@ def rotational_profile(rel: RelationSpec, seed: tuple, step: float = DEFAULT_STE
             s1, c1 = math.sin(th), math.cos(th)
             kp = s1 / r
             km = float(f(kp))
-            out.append(((k + 1) * step, r, z, th, km, kp))
+            out.extend(((k + 1) * step, r, z, th, km, kp))
     except _AxisContact:
         reason = "axis_contact"
     except DomainError:
         reason = "domain_exit"
-    return ProfileCurve(*np.array(out).T, reason)
+    return ProfileCurve(*np.frombuffer(out).reshape(-1, 6).T, reason)
 
 
 class _AxisContact(Exception):
@@ -266,18 +243,12 @@ def detect_period(profile: ProfileCurve) -> Optional[float]:
     return None
 
 
-def offset_profile(profile: ProfileCurve, a: float,
-                   params: Optional[ParallelParams] = None) -> ProfileCurve:
+def offset_profile(profile: ProfileCurve, a: float) -> ProfileCurve:
     """Geometric offset of a rotational profile along its surface normal.
 
     The normal of the profile plane is (-sin(theta), cos(theta)); offsetting
     keeps theta and transforms both curvatures by k -> k/(1 - a*k).
     """
-    if params is not None:
-        if abs(params.a - a) > 1e-15:
-            raise RelationError("params.a disagrees with the offset distance")
-        if not params.admissible(np.column_stack([profile.kappa_m, profile.kappa_p])):
-            raise DomainError("curvature samples violate the |k - t0| >= epsilon margin")
     try:
         km, kp = f_a(profile.kappa_m, a), f_a(profile.kappa_p, a)
     except DomainError:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,9 +43,6 @@ class Jet2:
         for name in ("p", "q", "r", "s", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"jet component {name} is not finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.q, self.r, self.s, self.t], dtype=float)
 
 
 def stencil_jets(u: np.ndarray, h: float, iy: np.ndarray, ix: np.ndarray):
@@ -181,11 +177,6 @@ class ThetaBox:
     slope_bound: float = 9.0 / 4.0
     l1_bound: float = DEFAULT_MU0
 
-    def contains(self, j: Jet2) -> bool:
-        a = j.as_array()
-        return (j.p * j.p + j.q * j.q <= self.slope_bound
-                and float(np.sum(np.abs(a))) <= self.l1_bound)
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count x 5 array of jets drawn inside the box (not exactly uniform;
         adequate for infimum estimation)."""
@@ -212,21 +203,16 @@ class ThetaBox:
         return out
 
 
-def uniform_ellipticity_lambda(rel: RelationSpec, box: Optional[ThetaBox] = None,
-                               sample_count: int = 10_000, seed: int = 0) -> float:
+def uniform_ellipticity_lambda(rel: RelationSpec) -> float:
     """Infimum over sampled jets of the smallest eigenvalue of the
-    second-order symbol [[F_r, F_s/2], [F_s/2, F_t]].  Positive for
-    uniformly elliptic relations; a non-positive result raises."""
-    if box is None:
-        box = ThetaBox()
+    second-order symbol [[F_r, F_s/2], [F_s/2, F_t]]: the origin jet and
+    10,000 jets of the default `ThetaBox`, drawn with seed 0.
+    Positive for uniformly elliptic relations; a non-positive result raises."""
     report = certify_ellipticity(rel)
     if report.uniform_constant_Lambda is None:
         raise EllipticityError("uniform_ellipticity_lambda needs a uniformly elliptic relation")
     g = g_of(rel)
-    rng = np.random.default_rng(seed)
-    jets = box.sample(sample_count, rng)
-    # include the origin jet and a few axis-aligned corners for determinism
-    jets = np.vstack([np.zeros(5), jets])
+    jets = np.vstack([np.zeros(5), ThetaBox().sample(10_000, np.random.default_rng(0))])
     _, grads = residual_fields(g, *(jets[:, i] for i in range(5)), with_gradient=True)
     Fr, Fs, Ft = grads[2], grads[3], grads[4]
     mid = 0.5 * (Fr + Ft)

@@ -31,8 +31,6 @@ from .jets import mean_gauss, stencil_jets
 from .relation import RelationSpec, g_of
 from .solver import GraphPatch, jet_fields
 
-DEFAULT_TAU = 1.0e-4
-
 
 # ---------------------------------------------------------------------------
 # Discrete intrinsic operators in the graph chart
@@ -145,7 +143,7 @@ def _varied_curvatures(patch: GraphPatch, phi: np.ndarray, tau_step: float) -> l
     return out
 
 
-def variation_derivatives(patch: GraphPatch, phi: np.ndarray, tau_step: float = DEFAULT_TAU):
+def variation_derivatives(patch: GraphPatch, phi: np.ndarray, tau_step: float):
     """(dH/dtau, dK/dtau) fields of the normal variation u + tau*phi*N by
     centered differences in tau; NaN outside the doubly-interior region.
 

@@ -252,16 +252,20 @@ def _finite(params: dict, key: str) -> float:
 
 
 def scalar_function_from_json(obj: dict) -> ScalarFunction:
+    """The scalar function a JSON object describes; ValueError (the CLI's
+    exit 1) when it is no object or names no known kind or closed form."""
     if not isinstance(obj, dict):
         raise ValueError(f"relation 'function' must be a JSON object, got {obj!r}")
     if obj.get("kind") == "closed":
+        if obj.get("name") not in _CLOSED_FORMS:
+            raise ValueError(f"unknown closed form {obj.get('name')!r}")
         params = dict(obj["params"])
         for key in params:
             _finite(params, key)
         return ClosedForm(obj["name"], params, Interval.from_json(obj["domain"]))
     if obj.get("kind") == "hermite":
         return SampledHermite(np.asarray(obj["x"]), np.asarray(obj["y"]), np.asarray(obj["dy"]))
-    raise RelationError(f"unknown scalar function kind {obj.get('kind')!r}")
+    raise ValueError(f"unknown scalar function kind {obj.get('kind')!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +336,9 @@ def relation_to_json(rel: RelationSpec) -> dict:
 
 
 def relation_from_json(obj: dict) -> RelationSpec:
-    """The relation a JSON object describes.  Its numeric parameters must
-    be finite (ValueError otherwise); a domain end may be "inf" or "-inf"."""
+    """The relation a JSON object describes.  Its kind must be known and its
+    numeric parameters finite (ValueError otherwise); a domain end may be
+    "inf" or "-inf"."""
     kind = obj.get("kind")
     if kind == "cmc":
         return CMC(_finite(obj, "h0"))
@@ -343,7 +348,7 @@ def relation_from_json(obj: dict) -> RelationSpec:
         return GForm(scalar_function_from_json(obj["function"]))
     if kind == "f":
         return FForm(scalar_function_from_json(obj["function"]))
-    raise RelationError(f"unknown relation kind {kind!r}")
+    raise ValueError(f"unknown relation kind {kind!r}")
 
 
 def _linear_coefficients(rel: RelationSpec) -> Optional[tuple]:

@@ -68,6 +68,7 @@ FORCING_GAMMA = 0.1          # Eisenstat-Walker choice 2: eta = gamma (|w_k| / |
 FORCING_MAX = 0.1            # loosest relative residual a Newton step asks of GMRES
 DEFAULT_TOL_RES = 1.0e-8     # sup-norm residual at which Newton stops
 DEFAULT_MAX_ITER = 40
+MAX_GRID_NODES = 2_000_000    # a grid of more nodes is rejected before it is allocated
 
 BoundaryData = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -98,7 +99,6 @@ class GraphPatch:
     h: float
     mask: np.ndarray
     values: np.ndarray
-    kind: str = "rectangle"
     disk_spec: Optional[tuple] = None   # (cx, cy, radius)
     # cut-node interpolation ties (disk domains): parallel arrays
     tie_node: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
@@ -118,6 +118,10 @@ class GraphPatch:
     def shape(self) -> tuple:
         return self.mask.shape
 
+    @property
+    def kind(self) -> str:
+        return "rectangle" if self.disk_spec is None else "disk"
+
     def axes(self):
         """Grid coordinates (x of each column, y of each row)."""
         ny, nx = self.shape
@@ -127,12 +131,7 @@ class GraphPatch:
         return np.meshgrid(*self.axes())
 
     def interior_mask(self) -> np.ndarray:
-        m = self.mask
-        inner = np.zeros_like(m)
-        inner[1:-1, 1:-1] = m[1:-1, 1:-1]
-        for dy, dx in _NEIGHBORS8:
-            inner[1:-1, 1:-1] &= m[1 + dy:m.shape[0] - 1 + dy, 1 + dx:m.shape[1] - 1 + dx]
-        return inner
+        return _interior(self.mask)
 
     def boundary_mask(self) -> np.ndarray:
         return self.mask & ~self.interior_mask()
@@ -152,7 +151,7 @@ class GraphPatch:
 
     def copy(self) -> "GraphPatch":
         return GraphPatch(self.x0, self.y0, self.h, self.mask.copy(), self.values.copy(),
-                          self.kind, self.disk_spec, self.tie_node.copy(), self.tie_inner.copy(),
+                          self.disk_spec, self.tie_node.copy(), self.tie_inner.copy(),
                           self.tie_tau.copy(), self.tie_len.copy(), self.tie_bc.copy())
 
     # -- constructors ------------------------------------------------------
@@ -164,12 +163,14 @@ class GraphPatch:
         x_min, x_max, y_min, y_max = (float(v) for v in bounds)
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError(f"grid step h must be finite and positive, got {h!r}")
-        nx = int(round((x_max - x_min) / h)) + 1
-        ny = int(round((y_max - y_min) / h)) + 1
+        # min() keeps int() off an infinite quotient; such a grid fails the bound
+        nx, ny = (int(round(min((hi - lo) / h, MAX_GRID_NODES))) + 1
+                  for lo, hi in ((x_min, x_max), (y_min, y_max)))
         if nx < 3 or ny < 3:
             raise ValueError("rectangle patch needs at least 3 nodes per side")
+        _check_nodes(h, nx * ny)
         mask = np.ones((ny, nx), dtype=bool)
-        patch = GraphPatch(x_min, y_min, h, mask, np.zeros((ny, nx)), "rectangle")
+        patch = GraphPatch(x_min, y_min, h, mask, np.zeros((ny, nx)))
         X, Y = patch.xy()
         patch.values = np.asarray(_as_bc(init)(X, Y), dtype=float).copy()
         ring = patch.boundary_mask()
@@ -184,11 +185,12 @@ class GraphPatch:
         cx, cy = (float(v) for v in center)
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError(f"grid step h must be finite and positive, got {h!r}")
-        n = int(math.ceil(radius / h))
+        n = int(math.ceil(min(radius / h, MAX_GRID_NODES)))
         x0, y0 = cx - n * h, cy - n * h
         size = 2 * n + 1
+        _check_nodes(h, size * size)
         mask = np.zeros((size, size), dtype=bool)
-        patch = GraphPatch(x0, y0, h, mask, np.zeros((size, size)), "disk", (cx, cy, radius))
+        patch = GraphPatch(x0, y0, h, mask, np.zeros((size, size)), (cx, cy, radius))
         X, Y = patch.xy()
         rho2 = (X - cx) ** 2 + (Y - cy) ** 2
         patch.mask = rho2 <= radius * radius * (1.0 + 1e-12)
@@ -315,7 +317,7 @@ class GraphPatch:
                         end += dtype.itemsize * count
                     if end == len(blob):
                         return GraphPatch(meta["x0"], meta["y0"], meta["h"], arrays["mask"],
-                                          arrays["values"], meta["kind"],
+                                          arrays["values"],
                                           tuple(meta["disk"]) if meta["disk"] else None,
                                           *(arrays[k] for k in _TIE_FIELDS))
         except _UNREADABLE_BINARY:
@@ -328,13 +330,30 @@ class GraphPatch:
         u = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=2, ndmin=1)
         values = np.full(mask.shape, np.nan)
         values[mask] = u
-        return GraphPatch(hdr["x0"], hdr["y0"], hdr["h"], mask, values, hdr["kind"],
+        return GraphPatch(hdr["x0"], hdr["y0"], hdr["h"], mask, values,
                           tuple(hdr["disk"]) if hdr["disk"] else None,
                           np.asarray(hdr["tie_node"], dtype=int).reshape(-1, 2),
                           np.asarray(hdr["tie_inner"], dtype=int).reshape(-1, 2),
                           np.asarray(hdr["tie_tau"], dtype=float),
                           np.asarray(hdr["tie_len"], dtype=float),
                           np.asarray(hdr["tie_bc"], dtype=float))
+
+
+def _interior(mask: np.ndarray) -> np.ndarray:
+    """The nodes of `mask` whose 8 neighbours are all in it (none on the
+    grid's edge)."""
+    inner = np.zeros_like(mask)
+    inner[1:-1, 1:-1] = mask[1:-1, 1:-1]
+    ny, nx = mask.shape
+    for dy, dx in _NEIGHBORS8:
+        inner[1:-1, 1:-1] &= mask[1 + dy:ny - 1 + dy, 1 + dx:nx - 1 + dx]
+    return inner
+
+
+def _check_nodes(h: float, nodes: int):
+    if nodes > MAX_GRID_NODES:
+        raise ValueError(f"grid step h = {h!r} is too fine: the grid would have more than "
+                         f"{MAX_GRID_NODES} nodes")
 
 
 _TIE_FIELDS = ("tie_node", "tie_inner", "tie_tau", "tie_len", "tie_bc")
@@ -768,13 +787,6 @@ def newton_solve(rel: RelationSpec, patch0: GraphPatch, tol_res: float = DEFAULT
 # Intrinsic distances and the blow-up h-function
 # ---------------------------------------------------------------------------
 
-def _offset_slices(dy: int, dx: int, ny: int, nx: int):
-    """Slices (a, b) of an (ny, nx) grid with b = a shifted by (dy, dx)."""
-    a = (slice(max(-dy, 0), ny - max(dy, 0)), slice(max(-dx, 0), nx - max(dx, 0)))
-    b = (slice(max(dy, 0), ny + min(dy, 0)), slice(max(dx, 0), nx + min(dx, 0)))
-    return a, b
-
-
 def _grid_graph(patch: GraphPatch, allowed: np.ndarray):
     """(CSR graph, node map) of the 8-neighbour grid graph on `allowed`.
 
@@ -879,22 +891,16 @@ def blowup_select(patch: GraphPatch, center: tuple, radius: float,
     box = (slice(y0, iy0 + k + 1), slice(x0, ix0 + k + 1))
     crop = GraphPatch(patch.x0 + x0 * patch.h, patch.y0 + y0 * patch.h, patch.h,
                       patch.mask[box], patch.values[box])
-    ny, nx = crop.shape
 
     d_center = intrinsic_distances(crop, [(iy0 - y0, ix0 - x0)], limit=radius)
     in_disk = crop.mask & (d_center <= radius)
-    # disk nodes with a neighbor outside the disk, or on the patch mask edge
-    bd = in_disk & crop.boundary_mask()
-    for dy, dx in _NEIGHBORS8:
-        a, b = _offset_slices(dy, dx, ny, nx)
-        bd[a] |= in_disk[a] & ~in_disk[b]
-
-    d_bd = intrinsic_distances(crop, np.argwhere(bd), within=in_disk)
+    # the disk's boundary: its nodes with a neighbour outside it or off the grid
+    d_bd = intrinsic_distances(crop, np.argwhere(in_disk & ~_interior(in_disk)), within=in_disk)
     sigma = second_fundamental_norm_field(crop) if sigma_field is None else np.asarray(sigma_field, dtype=float)[box]
     with np.errstate(invalid="ignore"):
         hfun = np.where(in_disk & np.isfinite(sigma) & np.isfinite(d_bd), sigma * d_bd, -np.inf)
     flat = int(np.argmax(hfun))
-    qy, qx = divmod(flat, nx)
+    qy, qx = divmod(flat, crop.shape[1])
     if not np.isfinite(hfun[qy, qx]):
         raise ValueError("h-function is nowhere finite on the disk")
     return BlowupSelection((qy + y0, qx + x0), float(sigma[qy, qx]), float(d_bd[qy, qx]),
@@ -949,6 +955,6 @@ def rescale_patch(patch: GraphPatch, lam: float) -> GraphPatch:
         cx, cy, R = patch.disk_spec
         disk = (cx * lam, cy * lam, R * lam)
     return GraphPatch(patch.x0 * lam, patch.y0 * lam, patch.h * lam, patch.mask.copy(),
-                      patch.values * lam, patch.kind, disk,
+                      patch.values * lam, disk,
                       patch.tie_node.copy(), patch.tie_inner.copy(),
                       patch.tie_tau * lam, patch.tie_len * lam, patch.tie_bc * lam)

@@ -21,8 +21,10 @@ import wlab
 from conftest import make_icosphere, write_obj
 from wlab import diagram, geometry
 from wlab.cli import EXIT_IO, _KEYS, _resolve, _solve, main
-from wlab.relation import (DEFAULT_T_MAX, LinearWeingarten, f_function, relation_from_json,
+from wlab.relation import (DEFAULT_T_MAX, ClosedForm, GForm, LinearWeingarten,
+                           certify_ellipticity, f_function, f_to_g, g_to_f, relation_from_json,
                            relation_to_json)
+from wlab.solver import GraphPatch, newton_solve
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -160,6 +162,65 @@ class TestRevolve:
         assert np.max(np.abs(rows[:, 4] + rows[:, 5] - 1.0)) < 1e-8
         p = geometry.rotational_profile(relation_from_json(cfg["relation"]),
                                         tuple(cfg["seed_state"]), cfg["step"], cfg["s_max"])
+        assert_exact_csv(outdir / "profile.csv", [p.s, p.r, p.z, p.theta, p.kappa_m, p.kappa_p])
+
+
+# the CI's g-form profile relation, sampled: g_to_f gives its Hermite f, and
+# f_to_g the Hermite g of that f; the README writes both as "hermite" objects
+CI_G_FORM = GForm(ClosedForm("sqrt_offset", {"scale": 0.45, "offset": 0.8, "shift": 0.05}))
+
+
+@pytest.fixture(scope="module", params=["hermite_f", "hermite_g_of_it"])
+def sampled_relation(request):
+    f_form = g_to_f(CI_G_FORM)
+    return f_form if request.param == "hermite_f" else f_to_g(f_form)
+
+
+def read_report(outdir, name, rel) -> dict:
+    report = json.loads((outdir / name).read_text())
+    assert report["relation"] == relation_to_json(rel)
+    return report
+
+
+def as_written(payload):
+    """`payload` as a report holds it after its JSON round trip."""
+    return json.loads(json.dumps(payload))
+
+
+class TestSampledRelations:
+    """A sampled Hermite relation runs through certify, solve and revolve
+    as it does in-process."""
+
+    def test_certify(self, tmp_path, sampled_relation):
+        rel = sampled_relation
+        code, outdir = run(tmp_path, "certify", {"relation": relation_to_json(rel)})
+        assert code == 0
+        report = read_report(outdir, "certify_report.json", rel)
+        assert report["report"] == as_written(certify_ellipticity(rel).to_json())
+
+    def test_solve(self, tmp_path, sampled_relation):
+        rel = sampled_relation
+        domain = {"type": "disk", "center": [0.0, 0.0], "radius": 0.5}
+        code, outdir = run(tmp_path, "solve", {"relation": relation_to_json(rel),
+                                               "domain": domain, "h": 1.0 / 32.0})
+        assert code == 0
+        out = newton_solve(rel, GraphPatch.disk((0.0, 0.0), 0.5, 1.0 / 32.0))
+        assert read_report(outdir, "solve_report.json", rel)["outcome"] == as_written(out.to_json())
+        patch = out.final_patch
+        X, Y = patch.xy()
+        assert_exact_csv(outdir / "solution.csv",
+                         [X[patch.mask], Y[patch.mask], patch.values[patch.mask]])
+
+    def test_revolve(self, tmp_path, sampled_relation):
+        rel = sampled_relation
+        code, outdir = run(tmp_path, "revolve", {"relation": relation_to_json(rel),
+                                                 "seed_state": [0.6, 0.0, math.pi / 2],
+                                                 "s_max": 2.0})
+        assert code == 0
+        p = geometry.rotational_profile(rel, (0.6, 0.0, math.pi / 2), s_max=2.0)
+        report = read_report(outdir, "revolve_report.json", rel)
+        assert (report["samples"], report["termination"], report["period"]) == (
+            len(p), p.reason, geometry.detect_period(p))
         assert_exact_csv(outdir / "profile.csv", [p.s, p.r, p.z, p.theta, p.kappa_m, p.kappa_p])
 
 
@@ -522,6 +583,18 @@ EXIT_CODES = {
                       writes_no_certify_report),
     "string_function": ("certify", lambda tmp: {"relation": {"kind": "f", "function": "x"}}, 1,
                         writes_no_certify_report),
+    # a relation or scalar function of unknown kind, or an unknown closed
+    # form, is a config error, not a validity failure (exit 2)
+    "relation_without_kind": ("certify", lambda tmp: {"relation": {}}, 1,
+                              writes_no_certify_report),
+    "unknown_function_kind": ("certify", lambda tmp: {"relation": {
+        "kind": "g", "function": {"kind": "spline"}}}, 1, writes_no_certify_report),
+    "unknown_closed_form": ("certify", lambda tmp: {"relation": dict(
+        TWO_SQRT_T, function=dict(TWO_SQRT_T["function"], name="gauss"))}, 1,
+                            writes_no_certify_report),
+    # a 200,001 x 200,001 grid is refused before it is allocated
+    "grid_past_the_bound": ("solve", lambda tmp: dict(SOLVE_CFG, h=1e-5), 1,
+                            writes_no_solve_report),
     **{name: ("blowup", lambda tmp, extra=extra: dict(TINY_BLOWUP, **extra), 1, writes_no_blowup)
        for name, extra in BAD_BLOWUP_INPUTS.items()},
     **{name: ("blowup", lambda tmp, node=node: dict(TINY_BLOWUP, synthetic_sigma={

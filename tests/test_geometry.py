@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from conftest import planar_curvature_5pt
 from wlab import geometry
 from wlab.errors import DomainError, RelationError
-from wlab.geometry import (ParallelParams, ProfileCurve, conjugate_relation,
+from wlab.geometry import (ProfileCurve, conjugate_relation,
                            detect_period, f_a, offset_profile, parallel_curvatures,
                            rotational_profile, angle_function)
 from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
@@ -88,14 +88,6 @@ class TestParallelCurvatures:
             assert back[0, 0] == pytest.approx(max(k1, k2), abs=1e-12)
             assert back[0, 1] == pytest.approx(min(k1, k2), abs=1e-12)
             checked += 1
-
-    def test_params_margin(self):
-        params = ParallelParams(a=2.0, epsilon=0.2)
-        assert params.t0 == 0.5
-        assert params.admissible([[1.0, 0.0]])
-        assert not params.admissible([[0.6, 0.0]])
-        # the order of the two curvatures in a row does not matter
-        assert not params.admissible([[1.0, 0.0], [0.0, 0.6]])
 
 
 class TestConjugation:
@@ -466,9 +458,7 @@ class TestOffsetProfile:
         prof = rotational_profile(CMC(0.5), (1.0, 0.0, math.pi / 2), step=1e-2, s_max=0.5)
         with pytest.raises(DomainError):
             offset_profile(prof, 1.0)   # kappa_p = 1 sits exactly on the pole
-        params = ParallelParams(a=-4.0, epsilon=0.1)
-        off = offset_profile(prof, -4.0, params=params)
-        assert off.r[0] == pytest.approx(5.0)
+        assert offset_profile(prof, -4.0).r[0] == pytest.approx(5.0)
 
 
 class TestPoleRule:

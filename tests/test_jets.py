@@ -7,6 +7,7 @@ finitely many evaluations, and numpy's symmetric eigensolver provides the
 spectrum."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -66,20 +67,20 @@ def linear_through(H, K, beta):
 
 
 def residual(rel, j: Jet2) -> float:
-    return float(residual_fields(g_of(rel), *j.as_array()))
+    return float(residual_fields(g_of(rel), *astuple(j)))
 
 
 def gradient(rel, j: Jet2) -> np.ndarray:
     """(F_p, F_q, F_r, F_s, F_t) of the residual: the analytic gradient that
     Newton's Jacobian is assembled from."""
-    _, grads = residual_fields(g_of(rel), *j.as_array(), with_gradient=True)
+    _, grads = residual_fields(g_of(rel), *astuple(j), with_gradient=True)
     return np.array([float(v) for v in grads])
 
 
 def fd_gradient(rel, j: Jet2, step: float = 1e-6) -> np.ndarray:
     """Oracle for `gradient`: central differences of the residual, with a
     step of step * (1 + |component|) in each jet component."""
-    g, base = g_of(rel), j.as_array()
+    g, base = g_of(rel), np.array(astuple(j))
     out = np.empty(5)
     for i in range(5):
         h = step * (1.0 + abs(base[i]))
@@ -246,28 +247,22 @@ class TestQ4:
 
 class TestUniformEllipticity:
     def test_minimal_origin_symbol(self):
-        lam = uniform_ellipticity_lambda(CMC(0.0), ThetaBox(), sample_count=2000)
+        lam = uniform_ellipticity_lambda(CMC(0.0))
         assert 0.0 < lam <= 0.5 + 1e-12
 
     def test_cmc_independent_of_level(self):
-        lam1 = uniform_ellipticity_lambda(CMC(0.5), sample_count=3000, seed=7)
-        lam2 = uniform_ellipticity_lambda(CMC(5.0), sample_count=3000, seed=7)
+        lam1 = uniform_ellipticity_lambda(CMC(0.5))
+        lam2 = uniform_ellipticity_lambda(CMC(5.0))
         assert lam1 == pytest.approx(lam2, rel=1e-12)
 
     def test_uniform_relation_positive(self):
         rel = GForm(ClosedForm("sqrt_offset", {"scale": 0.5, "offset": 1.0, "shift": 0.0}))
-        lam = uniform_ellipticity_lambda(rel, sample_count=10_000)
+        lam = uniform_ellipticity_lambda(rel)
         assert lam > 0.0
 
     def test_rejects_non_uniform(self):
         with pytest.raises(EllipticityError):
-            uniform_ellipticity_lambda(LinearWeingarten(0.0, 1.0, 1.0), sample_count=100)
-
-    def test_box_membership_uses_both_inequalities(self):
-        box = ThetaBox()
-        assert box.contains(Jet2(1.0, 1.0, 1.0, 1.0, 1.0))
-        assert not box.contains(Jet2(1.5, 0.1, 0.0, 0.0, 0.0))   # slope bound
-        assert not box.contains(Jet2(0.0, 0.0, 9.0, 1.0, 1.0))   # l1 bound
+            uniform_ellipticity_lambda(LinearWeingarten(0.0, 1.0, 1.0))
 
     def test_box_sampling_stays_inside(self, rng):
         box = ThetaBox()

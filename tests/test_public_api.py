@@ -9,9 +9,12 @@ definition is reachable only when that definition is, so a helper whose only
 caller is itself caller-less is listed too.  Unit tests are no roots: a
 function only they call is not part of the program.  No name is exempt.
 
-References are matched by name: a bare or dotted name, or a string that is
-exactly the name (as `setattr` targets in `bench/` are).  Dunder methods run
-implicitly, so their bodies count as part of their class.
+References are matched by name.  A top-level name is referenced by a bare
+or dotted name, or by a string that is exactly the name (as `setattr`
+targets in `bench/` are).  A method or property is referenced only by an
+attribute (`obj.name`, `Class.name`) or such a string, never by a bare name:
+a local variable or a function that shares its name keeps no method alive.
+Dunder methods run implicitly, so their bodies count as part of their class.
 """
 
 import ast
@@ -24,17 +27,19 @@ PACKAGE = ROOT / "src" / "wlab"
 
 
 def _referenced(nodes) -> set:
-    """Names, attributes and identifier-like strings under the given nodes."""
+    """Names, attributes and identifier-like strings under the given nodes.
+    An attribute or string `x` is recorded as `x` and as `.x`, the key of
+    the methods and properties named x; a bare name only as `x`."""
     out = set()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                out |= {node.attr, "." + node.attr}
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and node.value.isidentifier():
-                out.add(node.value)
+                out |= {node.value, "." + node.value}
     return out
 
 
@@ -44,9 +49,9 @@ def _assigned_names(stmt) -> list:
 
 
 def _scan_module(tree, label: str, public: dict, edges: dict, roots: set) -> None:
-    """Add the module's public definitions to `public` (name -> labels), the
-    names each definition refers to into `edges`, and references made
-    outside any definition into `roots`."""
+    """Add the module's public definitions to `public` (name -> labels; a
+    method or property under `.name`), the names each definition refers to
+    into `edges`, and references made outside any definition into `roots`."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for stmt in tree.body:
         if isinstance(stmt, defs):
@@ -56,9 +61,9 @@ def _scan_module(tree, label: str, public: dict, edges: dict, roots: set) -> Non
                 for item in stmt.body:
                     method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     if method and not (item.name.startswith("__") and item.name.endswith("__")):
-                        edges[item.name] |= _referenced([item])
+                        edges["." + item.name] |= _referenced([item])
                         if not item.name.startswith("_"):
-                            public[item.name].append(f"{label}.{name}.{item.name}")
+                            public["." + item.name].append(f"{label}.{name}.{item.name}")
                     else:
                         own.append(item)
                 edges[name] |= _referenced(own + stmt.bases + stmt.decorator_list)
@@ -76,9 +81,12 @@ def _scan_module(tree, label: str, public: dict, edges: dict, roots: set) -> Non
 
 
 def _readme_names() -> set:
+    """Identifiers in the code spans of README.md; one after a dot is an
+    attribute, as in code."""
     text = (ROOT / "README.md").read_text()
-    spans = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
-    return set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", " ".join(spans)))
+    spans = " ".join(re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S))
+    names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", spans))
+    return names | {"." + name for name in re.findall(r"\.([A-Za-z_][A-Za-z0-9_]*)", spans)}
 
 
 def _unreached(public: dict, edges: dict, roots: set) -> list:
@@ -127,3 +135,22 @@ def test_scan_sees_through_a_caller_less_chain():
     assert _unreached(public, edges, roots) == ["m.Box", "m.Box.size", "m.LIMIT", "m.helper",
                                                 "m.orphan"]
     assert _unreached(public, edges, roots | {"orphan"}) == []
+
+
+def test_bare_name_keeps_no_method():
+    """A local variable named like a method does not reach it; an attribute
+    or a string does."""
+    src = ("class Box:\n"
+           "    def size(self):\n"
+           "        return 1\n"
+           "    def area(self):\n"
+           "        return 2\n"
+           "    def side(self):\n"
+           "        return 3\n"
+           "def local():\n"
+           "    size = 4\n"
+           "    return size + Box().side()\n"
+           "print(local(), getattr(Box(), 'area'))\n")
+    public, edges, roots = defaultdict(list), defaultdict(set), set()
+    _scan_module(ast.parse(src), "m", public, edges, roots)
+    assert _unreached(public, edges, roots) == ["m.Box.size"]

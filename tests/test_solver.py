@@ -895,7 +895,7 @@ def _loop_disk(center, radius, h, boundary, seen):
     x0, y0 = cx - n * h, cy - n * h
     size = 2 * n + 1
     mask = np.zeros((size, size), dtype=bool)
-    patch = GraphPatch(x0, y0, h, mask, np.zeros((size, size)), "disk", (cx, cy, radius))
+    patch = GraphPatch(x0, y0, h, mask, np.zeros((size, size)), (cx, cy, radius))
     X, Y = patch.xy()
     rho2 = (X - cx) ** 2 + (Y - cy) ** 2
     patch.mask = rho2 <= radius * radius * (1.0 + 1e-12)
