@@ -145,6 +145,9 @@ class TriMesh:
             raise MeshError("face index out of range") from None
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise MeshError("face index out of range")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"non-finite coordinate at vertex {int(np.argmin(finite))}")
 
 
 def load_obj(path) -> TriMesh:
@@ -256,14 +259,49 @@ def _mesh_topology(mesh: TriMesh):
 
 
 def _vertex_normals(mesh: TriMesh) -> np.ndarray:
+    """Unit area-weighted vertex normals; zero where the faces around a
+    vertex have no area."""
     V, Fc = mesh.vertices, mesh.faces
     fn = np.cross(V[Fc[:, 1]] - V[Fc[:, 0]], V[Fc[:, 2]] - V[Fc[:, 0]])  # 2*area*normal
-    normals = np.zeros_like(V)
-    for k in range(3):
-        np.add.at(normals, Fc[:, k], fn)
+    corners = Fc.T.ravel()       # each face's first corners, then its second, then its third
+    normals = np.column_stack([np.bincount(corners, np.tile(fn[:, c], 3), minlength=len(V))
+                               for c in range(3)])
     norm = np.linalg.norm(normals, axis=1, keepdims=True)
     norm[norm == 0.0] = 1.0
     return normals / norm
+
+
+def _ring_fits(A: np.ndarray, z: np.ndarray) -> tuple:
+    """Least-squares solutions of the stacked fits A c = z, A of shape
+    (b, m, 5) with m >= 5, and the mask of the fits whose condition number
+    is at most FIT_COND_LIMIT: (ok, coefficients).
+
+    One QR of [A | z] gives A's triangle T and Q^T z, and one back
+    substitution of T X = [Q^T z | I] gives the coefficients and T^-1.
+    ||T||_F ||T^-1||_F bounds cond_2(T) = cond_2(A) from above, so a fit it
+    clears is within the limit; the few it does not clear take the exact
+    singular-value test of T, and a fit whose T is not finite fails.  Every
+    kept fit takes its coefficients from the back substitution: T is
+    triangular, so np.linalg.solve would factor it as itself and repeat the
+    same steps up to rounding.
+    """
+    R = np.linalg.qr(np.concatenate([A, z[..., None]], axis=-1), mode="r")
+    T = R[:, :5, :5]
+    X = np.concatenate([R[:, :5, 5:], np.broadcast_to(np.eye(5), T.shape)], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(4, -1, -1):
+            X[:, i] -= np.einsum("bj,bjk->bk", T[:, i, i + 1:], X[:, i + 1:])
+            X[:, i] /= T[:, i, i, None]
+        bound = np.sqrt(np.einsum("bij,bij->b", T, T)
+                        * np.einsum("bij,bij->b", X[..., 1:], X[..., 1:]))  # Frobenius norms
+    ok = bound <= FIT_COND_LIMIT
+    doubt = np.flatnonzero(~ok)
+    doubt = doubt[np.isfinite(T[doubt]).all(axis=(1, 2))]
+    if doubt.size:
+        sv = np.linalg.svd(T[doubt], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok[doubt] = (sv[:, -1] > 0.0) & (sv[:, 0] / sv[:, -1] <= FIT_COND_LIMIT)
+    return ok, X[:, :, 0]
 
 
 def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
@@ -271,16 +309,16 @@ def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
     2-ring in the tangent frame of the area-weighted vertex normal.
 
     Boundary vertices are skipped; fits with design condition number above
-    1e8 (or fewer than 5 usable neighbors) are skipped and counted in
-    diagram.notes.  Curvature signs follow the mesh orientation: the normal
-    defined by the face winding is the graph's upward axis.
+    1e8 or a non-finite design, fewer than 5 usable neighbors or a zero
+    normal (faces of no area) are skipped and counted in diagram.notes.
+    Curvature signs follow the mesh orientation: the normal defined by the
+    face winding is the graph's upward axis.
 
     The 2-rings are the off-diagonal nonzeros of A + A^2 for the vertex
     adjacency A.  Vertices are fitted FIT_BLOCK at a time: each ring is
     padded to the block's largest ring with copies of the vertex itself,
-    whose zero rows change neither the singular values nor the least-squares
-    solution, and one batched SVD per block serves both the condition check
-    and the solve.
+    whose zero rows change neither the condition number nor the
+    least-squares solution, and `_ring_fits` solves the block.
     """
     import scipy.sparse as sp
 
@@ -292,7 +330,7 @@ def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
     rings = (rings - sp.diags(rings.diagonal())).tocsr()
     rings.eliminate_zeros()
     sizes = np.diff(rings.indptr)
-    fit = ~boundary & (sizes >= 5)
+    fit = ~boundary & (sizes >= 5) & normals.any(axis=1)
     skipped_degenerate = int(np.count_nonzero(~boundary & ~fit))
 
     pairs = []
@@ -312,13 +350,9 @@ def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
         d = V[ring] - V[block][:, None, :]
         x, y, zn = np.einsum("bmk,bjk->jbm", d, np.stack([e1, e2, n], axis=1))
         A = np.stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y], axis=-1)
-        U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (sv[:, -1] > 0.0) & (sv[:, 0] / sv[:, -1] <= FIT_COND_LIMIT)
+        ok, coef = _ring_fits(A, zn)
         skipped_degenerate += int(np.count_nonzero(~ok))
-        # least-squares solution V diag(1/s) U^T z
-        coef = np.einsum("bji,bj->bi", Vt[ok], np.einsum("bmj,bm->bj", U[ok], zn[ok]) / sv[ok])
-        H, K = mean_gauss(*coef.T)
+        H, K = mean_gauss(*coef[ok].T)
         root = np.sqrt(h2_minus_k(H, K))
         pairs.append(np.column_stack([H + root, H - root]))
     pairs = np.concatenate([np.empty((0, 2))] + pairs)

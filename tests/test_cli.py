@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlab
-from conftest import make_icosphere, write_obj
+from conftest import make_flat_mesh, make_icosphere, write_obj
 from wlab import diagram, geometry
 from wlab.cli import EXIT_IO, _KEYS, _resolve, _solve, main
 from wlab.relation import (DEFAULT_T_MAX, ClosedForm, GForm, LinearWeingarten,
@@ -482,6 +482,33 @@ def writes_no_diagram(outdir):
     assert not (outdir / "diagram_report.json").exists()
 
 
+def mesh_config(tmp, vertices, faces):
+    obj = tmp / "mesh.obj"
+    write_obj(diagram.TriMesh(vertices, faces), obj)
+    return {"mesh": str(obj)}
+
+
+def zero_area_fan(tmp):
+    # an 8 x 8 grid beside a 5 x 5 grid collapsed to one point
+    grid, lump = make_flat_mesh(8), make_flat_mesh(5)
+    return mesh_config(tmp, np.vstack([grid.vertices, 0.0 * lump.vertices]),
+                       np.vstack([grid.faces, lump.faces + 64]))
+
+
+def skips_the_zero_area_fan(outdir):
+    notes = json.loads((outdir / "diagram_report.json").read_text())["notes"]
+    assert notes["skipped_degenerate"] == 9 and notes["skipped_boundary"] == 28 + 16
+
+
+def non_finite_vertex(tmp, token):
+    obj = tmp / "mesh.obj"
+    write_obj(make_icosphere(1.0, 1), obj)
+    lines = obj.read_text().split("\n")
+    lines[4] = f"v 0 {token} 0"
+    obj.write_text("\n".join(lines))
+    return {"mesh": str(obj)}
+
+
 def writes_no_certify_report(outdir):
     assert not (outdir / "certify_report.json").exists()
 
@@ -592,6 +619,15 @@ EXIT_CODES = {
     "unknown_closed_form": ("certify", lambda tmp: {"relation": dict(
         TWO_SQRT_T, function=dict(TWO_SQRT_T["function"], name="gauss"))}, 1,
                             writes_no_certify_report),
+    # faces of no area leave a vertex without a normal, which is skipped;
+    # a mesh of no area leaves no fit at all
+    "zero_area_fan": ("diagram", zero_area_fan, 0, skips_the_zero_area_fan),
+    "mesh_of_no_area": ("diagram", lambda tmp: mesh_config(
+        tmp, 0.0 * make_icosphere(1.0, 1).vertices, make_icosphere(1.0, 1).faces), 2,
+        writes_no_diagram),
+    "nan_vertex": ("diagram", lambda tmp: non_finite_vertex(tmp, "nan"), 2, writes_no_diagram),
+    "infinite_vertex": ("diagram", lambda tmp: non_finite_vertex(tmp, "-inf"), 2,
+                        writes_no_diagram),
     # a 200,001 x 200,001 grid is refused before it is allocated
     "grid_past_the_bound": ("solve", lambda tmp: dict(SOLVE_CFG, h=1e-5), 1,
                             writes_no_solve_report),

@@ -1,6 +1,7 @@
 """Curvature-diagram classification and mesh tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,50 @@ class TestMeshes:
         with pytest.raises(MeshError, match="orientation"):
             mesh_diagram(TriMesh(V, F_bad))
 
+    def test_zero_area_fan_is_skipped(self):
+        grid, lump = make_flat_mesh(8), make_flat_mesh(5)
+        # the 5 x 5 grid collapsed to one point: every normal of it is zero
+        mesh = TriMesh(np.vstack([grid.vertices, 0.0 * lump.vertices + 3.0]),
+                       np.vstack([grid.faces, lump.faces + 64]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # skipped before it makes a NaN frame
+            d = mesh_diagram(mesh)
+        assert d.notes["skipped_boundary"] == (4 * 8 - 4) + (4 * 5 - 4)
+        assert d.notes["skipped_degenerate"] == 9
+        assert np.array_equal(d.samples, mesh_diagram(grid).samples)
+
+    def test_overflowing_fits_are_skipped(self):
+        # the squared ring coordinates of the second sphere overflow
+        a = make_icosphere(1.0, 2)
+        n = len(a.vertices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = mesh_diagram(TriMesh(np.vstack([a.vertices, 1e160 * a.vertices]),
+                                     np.vstack([a.faces, a.faces + n])))
+        assert d.notes["skipped_degenerate"] == n
+        assert np.array_equal(d.samples, mesh_diagram(a).samples)
+
+    def test_mesh_of_no_area_has_no_fit(self):
+        sphere = make_icosphere(1.0, 2)
+        with pytest.raises(MeshError, match="^no vertex produced a usable curvature fit$"):
+            mesh_diagram(TriMesh(0.0 * sphere.vertices, sphere.faces))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        V = make_icosphere(1.0, 1).vertices
+        V[[5, 9], 2] = bad
+        with pytest.raises(MeshError, match=r"^non-finite coordinate at vertex 5$"):
+            TriMesh(V, make_icosphere(1.0, 1).faces)
+
+    def test_vertex_normals_sum_as_add_at(self):
+        mesh = perturbed_icosphere(4)
+        V, Fc = mesh.vertices, mesh.faces
+        fn = np.cross(V[Fc[:, 1]] - V[Fc[:, 0]], V[Fc[:, 2]] - V[Fc[:, 0]])
+        summed = np.zeros_like(V)
+        for k in range(3):
+            np.add.at(summed, Fc[:, k], fn)
+        expected = summed / np.linalg.norm(summed, axis=1, keepdims=True)
+        assert np.array_equal(_vertex_normals(mesh).view(np.int64), expected.view(np.int64))
+
 
 # a file read whole by numpy: comments, blank and whitespace-only lines,
 # leading whitespace, tabs, CRLF, extra tokens, 'i/j/k' and 'i//k' face
@@ -269,8 +314,8 @@ class TestObjReader:
         assert np.array_equal(mesh.faces, faces) and mesh.ignored_records == ignored
 
     def test_coordinates_only_float_reads(self, tmp_path):
-        mesh = self.read(tmp_path, "v 1_0 \u0662 -inf\n" + HEAD + "f 2 3 4\n")
-        assert mesh.vertices[0].tolist() == [10.0, 2.0, -math.inf]
+        mesh = self.read(tmp_path, "v 1_0 \u0662 -0.25\n" + HEAD + "f 2 3 4\n")
+        assert mesh.vertices[0].tolist() == [10.0, 2.0, -0.25]
 
     @pytest.mark.parametrize("text, message", [
         (HEAD + "v 0 0\nf 1 2 3\n", "line 4: vertex needs 3 coordinates"),
@@ -296,6 +341,8 @@ class TestObjReader:
         ("f 1 2 3\n", "OBJ contains no usable triangles"),
         ("", "OBJ contains no usable triangles"),
         (HEAD + "f 1 2 4\n", "face index out of range"),
+        (HEAD + "v nan 0 0\nf 1 2 3\n", "non-finite coordinate at vertex 3"),
+        ("v 0 0 0\nv 1 inf 0\n" + HEAD + "f 1 3 4\n", "non-finite coordinate at vertex 1"),
         # beyond int64: the record loop reads it, the array of faces cannot hold it
         (HEAD + "f 1 2 99999999999999999999\n", "face index out of range"),
     ])
@@ -331,6 +378,25 @@ def quadric_graph_mesh(n, a, b, extent=0.5) -> TriMesh:
     return TriMesh(np.column_stack([x, y, 0.5 * (a * x * x + b * y * y)]), flat.faces)
 
 
+def perturbed_icosphere(subdiv=3, seed=1) -> TriMesh:
+    """An icosphere of radius 1.7 whose vertices are moved by normal noise of
+    0.008, about 3 % of an edge at subdivision 3."""
+    mesh = make_icosphere(1.7, subdiv)
+    noise = np.random.default_rng(seed).normal(scale=0.008, size=mesh.vertices.shape)
+    return TriMesh(mesh.vertices + noise, mesh.faces)
+
+
+def condition_straddle_mesh() -> TriMesh:
+    """Sixteen 5 x 5 quadric graphs shrunk by 1e-8 ... 1e-6: their ring
+    designs have condition numbers from about 1e7 to 2e9, on both sides of
+    FIT_COND_LIMIT and many within a factor 5 below it."""
+    graph = quadric_graph_mesh(5, 1.3, -0.6)
+    n = len(graph.vertices)
+    scales = np.logspace(-8.0, -6.0, 16)
+    return TriMesh(np.vstack([s * graph.vertices for s in scales]),
+                   np.vstack([graph.faces + k * n for k in range(len(scales))]))
+
+
 def face_order_topology_error(faces):
     """Message of the first bad edge in face order, or None: the edge
     bookkeeping loop that the sorted-key check in _mesh_topology replaced."""
@@ -347,10 +413,10 @@ def face_order_topology_error(faces):
     return None
 
 
-def per_vertex_fits(mesh):
-    """Reference: the per-vertex quadric-fit loop that mesh_diagram replaced.
-    Returns (H, K) of each fitted vertex in vertex order and the number of
-    interior vertices skipped as degenerate."""
+def reference_designs(mesh):
+    """Reference: the per-vertex loop that mesh_diagram replaced, up to its
+    fit.  Yields the design A and right side z of each interior vertex in
+    vertex order, or None for a 2-ring of fewer than 5 vertices."""
     V, nv = mesh.vertices, len(mesh.vertices)
     neighbors = [set() for _ in range(nv)]
     edges = {}
@@ -362,7 +428,6 @@ def per_vertex_fits(mesh):
             edges[min(u, v), max(u, v)] = edges.get((min(u, v), max(u, v)), 0) + 1
     boundary = {w for key, count in edges.items() if count == 1 for w in key}
     normals = _vertex_normals(mesh)
-    fits, skipped = [], 0
     for vi in sorted(set(range(nv)) - boundary):
         ring = set(neighbors[vi])
         for w in list(ring):
@@ -370,7 +435,7 @@ def per_vertex_fits(mesh):
         ring.discard(vi)
         ring = np.fromiter(ring, dtype=int)
         if ring.size < 5:
-            skipped += 1
+            yield None
             continue
         n = normals[vi]
         ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
@@ -379,13 +444,31 @@ def per_vertex_fits(mesh):
         e2 = np.cross(n, e1)
         d = V[ring] - V[vi]
         x, y = d @ e1, d @ e2
-        A = np.column_stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y])
+        yield np.column_stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y]), d @ n
+
+
+def per_vertex_fits(mesh):
+    """Reference: the per-vertex SVD condition test and lstsq fit that
+    mesh_diagram replaced.  Returns (H, K) of each fitted vertex in vertex
+    order and the number of interior vertices skipped as degenerate."""
+    fits, skipped = [], 0
+    for design in reference_designs(mesh):
+        if design is None:
+            skipped += 1
+            continue
+        A, z = design
         sv = np.linalg.svd(A, compute_uv=False)
         if sv[-1] <= 0.0 or sv[0] / sv[-1] > FIT_COND_LIMIT:
             skipped += 1
             continue
-        fits.append(mean_gauss(*np.linalg.lstsq(A, d @ n, rcond=None)[0]))
+        fits.append(mean_gauss(*np.linalg.lstsq(A, z, rcond=None)[0]))
     return np.array(fits), skipped
+
+
+def design_conditions(mesh) -> np.ndarray:
+    """cond_2 of each interior design of at least 5 rows, in vertex order."""
+    sv = [np.linalg.svd(A, compute_uv=False) for A, _ in filter(None, reference_designs(mesh))]
+    return np.array([s[0] / s[-1] for s in sv])
 
 
 class TestBatchedFits:
@@ -406,8 +489,12 @@ class TestBatchedFits:
         # the vertex at the origin sees the quadric's own curvatures
         np.testing.assert_allclose(d.samples[47 * 23 + 23], [a, b], rtol=1e-4)
 
+    # H and K, not the pairs: at an umbilic, sqrt(H^2 - K) turns differences
+    # of 1e-14 in H and K into 1e-8 in k1 and k2
     @pytest.mark.parametrize("mesh", [make_icosphere(1.7, 3), quadric_graph_mesh(21, 2.0, -0.5),
-                                      make_cylinder_mesh(nth=24, nz=8)])
+                                      make_cylinder_mesh(nth=24, nz=8), perturbed_icosphere(),
+                                      make_icosphere(2.0, 4), make_icosphere(2.0, 5),
+                                      condition_straddle_mesh()])
     def test_agrees_with_the_per_vertex_loop(self, mesh):
         d = mesh_diagram(mesh)
         fits, skipped = per_vertex_fits(mesh)
@@ -416,6 +503,42 @@ class TestBatchedFits:
         scale = H * H + np.abs(K)
         np.testing.assert_allclose(d.samples.mean(axis=1), H, rtol=1e-12, atol=0)
         assert np.max(np.abs(d.samples.prod(axis=1) - K) / scale) < 1e-12
+        root = np.sqrt(np.maximum(H * H - K, 0.0))
+        got, want = qc_classify(d), qc_classify(CurvatureDiagram(np.column_stack([H + root, H - root])))
+        assert got.classification == want.classification
+        assert got.gamma_star == pytest.approx(want.gamma_star, rel=1e-12, abs=0)
+
+    def test_pairs_agree_off_the_umbilics(self):
+        mesh = perturbed_icosphere()
+        fits, _ = per_vertex_fits(mesh)
+        H, K = fits.T
+        root = np.sqrt(np.maximum(H * H - K, 0.0))
+        ref = np.column_stack([H + root, H - root])
+        assert np.max(np.abs(mesh_diagram(mesh).samples - ref)) / np.max(np.abs(ref)) < 1e-12
+
+    def test_condition_limit_straddle(self, monkeypatch):
+        mesh = condition_straddle_mesh()
+        conds = design_conditions(mesh)
+        limit = FIT_COND_LIMIT
+        assert np.count_nonzero(conds > limit) and np.count_nonzero(conds <= limit / 5)
+        assert np.count_nonzero((conds > limit / 5) & (conds <= limit)) >= 20
+        exact = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            out = svd(a, *args, **kwargs)
+            exact.append(out[:, 0] / out[:, -1])
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        d = mesh_diagram(mesh)
+        monkeypatch.undo()
+        # the exact test saw fits on both sides of the limit; the bound cleared the rest
+        exact = np.concatenate(exact)
+        assert np.count_nonzero(exact <= limit) and np.count_nonzero(exact > limit)
+        assert exact.size < conds.size
+        assert d.notes["skipped_degenerate"] == np.count_nonzero(conds > limit)
+        assert len(d) == np.count_nonzero(conds <= limit)
 
     def test_small_and_collinear_rings_are_counted(self):
         grid = make_flat_mesh(12)
