@@ -1,12 +1,13 @@
 """wlab: a numerical laboratory for elliptic Weingarten surfaces.
 
-Subpackages by concern: `relation` (curvature relations and ellipticity
-certification), `jets` (pointwise curvature and residual evaluation),
+Modules by concern: `relation` (curvature relations and their rescaling,
+ellipticity certification), `jets` (pointwise curvature and residual
+evaluation), `grid` (graph patches, their artifacts, the CSV writer),
 `solver` (the Dirichlet graph PDE and blow-up bookkeeping), `geometry`
 (parallel surfaces and rotational profiles), `diagram` (curvature-diagram
 audits), `linop` (the linearized operator), `cli` (the batch front end).
 """
 
-from . import diagram, geometry, jets, linop, relation, solver  # noqa: F401
+from . import diagram, geometry, grid, jets, linop, relation, solver  # noqa: F401
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagram as diagram_mod
-from . import geometry, linop, solver
+from . import geometry, grid, linop, solver
 from .errors import WlabError
 from .relation import (DEFAULT_SAMPLES, DEFAULT_T_MAX, RelationSpec, certify_ellipticity,
                        relation_from_json, relation_to_json)
@@ -143,11 +143,11 @@ def _domain(name: str, dom):
     """The patch constructor of a disk or rectangle, taking (h, boundary=, init=)."""
     kind = dom.get("type") if isinstance(dom, dict) else None
     if kind == "disk":
-        return functools.partial(solver.GraphPatch.disk,
+        return functools.partial(grid.GraphPatch.disk,
                                  _reals(2)(_child(name, "center"), dom.get("center", [0.0, 0.0])),
                                  _positive(_child(name, "radius"), dom.get("radius")))
     if kind == "rectangle":
-        return functools.partial(solver.GraphPatch.rectangle,
+        return functools.partial(grid.GraphPatch.rectangle,
                                  _reals(4)(_child(name, "bounds"), dom.get("bounds")))
     raise ValueError(f"{name} must be a disk or rectangle object, got {dom!r}")
 
@@ -255,9 +255,9 @@ def _cmd_revolve(p: dict, cfg: ExperimentConfig) -> int:
     profile = geometry.rotational_profile(p["relation"], p["seed_state"], step=p["step"],
                                           s_max=p["s_max"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    solver.write_csv(cfg.out_dir / "profile.csv", "s,r,z,theta,kappa_m,kappa_p",
-                     [profile.s, profile.r, profile.z, profile.theta, profile.kappa_m,
-                      profile.kappa_p])
+    grid.write_csv(cfg.out_dir / "profile.csv", "s,r,z,theta,kappa_m,kappa_p",
+                   [profile.s, profile.r, profile.z, profile.theta, profile.kappa_m,
+                    profile.kappa_p])
     period = geometry.detect_period(profile)
     cfg.write_summary("revolve_report.json", {
         "check": "rotational_profile_generation",
@@ -283,7 +283,7 @@ def _cmd_diagram(p: dict, cfg: ExperimentConfig) -> int:
         raise ValueError("diagram config needs 'mesh', 'pairs_csv' or 'pairs'")
     report = diagram_mod.qc_classify(diag)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    solver.write_csv(cfg.out_dir / "diagram.csv", "k1,k2", diag.samples.T)
+    grid.write_csv(cfg.out_dir / "diagram.csv", "k1,k2", diag.samples.T)
     cfg.write_summary("diagram_report.json", {
         "check": "quasiconformality_classification",
         "source": diag.source,
@@ -305,8 +305,8 @@ def _cmd_parallel(p: dict, cfg: ExperimentConfig) -> int:
     if p["pairs"] is not None and len(p["pairs"]):
         rows = np.column_stack([p["pairs"], *geometry.parallel_curvatures(p["pairs"], p["a"])])
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        solver.write_csv(cfg.out_dir / "parallel_pairs.csv",
-                         "k1,k2,k1_offset,k2_offset,metric_factor_1,metric_factor_2", rows.T)
+        grid.write_csv(cfg.out_dir / "parallel_pairs.csv",
+                       "k1,k2,k1_offset,k2_offset,metric_factor_1,metric_factor_2", rows.T)
         payload["pairs_written"] = len(rows)
     cfg.write_summary("parallel_report.json", payload)
     return EXIT_OK
@@ -328,7 +328,7 @@ def _cmd_linop(p: dict, cfg: ExperimentConfig) -> int:
 def _cmd_blowup(p: dict, cfg: ExperimentConfig) -> int:
     spec = p["patch"]
     if "load" in spec:
-        patch = solver.GraphPatch.load(*spec["load"])
+        patch = grid.GraphPatch.load(*spec["load"])
     else:
         outcome = _solve(spec["solve"])
         if outcome.status != "converged":

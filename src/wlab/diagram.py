@@ -147,7 +147,8 @@ class TriMesh:
             raise MeshError("face index out of range")
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
-            raise MeshError(f"non-finite coordinate at vertex {int(np.argmin(finite))}")
+            raise MeshError(f"non-finite coordinate at vertex {int(np.argmin(finite)) + 1}, "
+                            "vertices numbered from 1 as in OBJ")
 
 
 def load_obj(path) -> TriMesh:
@@ -247,7 +248,8 @@ def _mesh_topology(mesh: TriMesh):
     repeat = order[1:][directed[order[1:]] == directed[order[:-1]]]
     if repeat.size:
         e = int(repeat.min())
-        raise MeshError(f"inconsistent orientation at edge ({u[e]}, {v[e]})")
+        raise MeshError(f"inconsistent orientation at edge ({u[e] + 1}, {v[e] + 1}), "
+                        "vertices numbered from 1 as in OBJ")
     keys, counts = np.unique(np.minimum(u, v) * nv + np.maximum(u, v), return_counts=True)
     boundary = np.zeros(nv, dtype=bool)
     once = keys[counts == 1]

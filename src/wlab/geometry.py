@@ -17,9 +17,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, RelationError
-from .relation import (CMC, FForm, LinearWeingarten, RelationSpec, SampledHermite,
-                       _linear_coefficients, f_function, g_to_f)
-from .solver import GraphPatch, jet_fields
+from .grid import GraphPatch, jet_fields
+from .relation import (CMC, FForm, LinearWeingarten, RelationSpec, SampledHermite, f_function,
+                       g_to_f, linear_coefficients)
 
 POLE_GUARD = 1.0e-9
 AXIS_RADIUS = 1.0e-6
@@ -77,7 +77,7 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     """
     if a == 0.0:
         return rel
-    lin = _linear_coefficients(rel)
+    lin = linear_coefficients(rel)
     if lin is not None:
         al, be, de = lin
         al2 = al - a * de

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticityError, RelationError
+from .grid import GraphPatch, jet_fields
 from .jets import mean_gauss, stencil_jets
 from .relation import RelationSpec, g_of
-from .solver import GraphPatch, jet_fields
 
 
 # ---------------------------------------------------------------------------

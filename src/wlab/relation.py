@@ -3,9 +3,9 @@
 A relation can be given in mean/Gauss form ``H = g(H**2 - K)`` (a scalar
 function ``g`` on ``[0, inf)``) or in principal-curvature form
 ``k2 = f(k1)`` (a decreasing involution ``f`` on an interval ``I_f``).
-This module represents both forms, converts between them, and certifies
-ellipticity (``4*t*g'(t)**2 < 1``), uniform ellipticity, minimal type and
-the boundedness of the two branches ``t +- g(t**2)``.
+This module represents both forms, converts between them, rescales them,
+and certifies ellipticity (``4*t*g'(t)**2 < 1``), uniform ellipticity,
+minimal type and the boundedness of the two branches ``t +- g(t**2)``.
 
 All certification is performed on a finite sampling grid; a relation that
 passes is "grid-elliptic" and the report records the grid used.
@@ -351,7 +351,7 @@ def relation_from_json(obj: dict) -> RelationSpec:
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
-def _linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
+def linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
     """(alpha, beta, delta) of 2*alpha*H + beta*K = delta for CMC (1, 0, 2*h0),
     linear relations and an f-form whose f is exactly the `f_function` of
     one of them; None for the other forms."""
@@ -368,14 +368,14 @@ def _linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
         except RelationError:       # alpha^2 + beta*delta <= 0
             return None
         if f_function(lin).to_json() == f.to_json():
-            return _linear_coefficients(lin)
+            return linear_coefficients(lin)
     return None
 
 
 def g_of(rel: RelationSpec) -> ScalarFunction:
     """The g of H = g(H^2-K) for any relation; f-form relations that are not
     linear are converted by sampling (`f_to_g`)."""
-    lin = _linear_coefficients(rel)
+    lin = linear_coefficients(rel)
     if lin is not None:
         al, be, de = lin
         if be == 0.0:
@@ -394,7 +394,7 @@ def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
     linear relation's is the half-line on its fixed point's side of the pole."""
     if isinstance(rel, FForm):
         return rel.f
-    lin = _linear_coefficients(rel)
+    lin = linear_coefficients(rel)
     if lin is None:
         return None
     al, be, de = lin
@@ -403,6 +403,40 @@ def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
     pole = -al / be
     return ClosedForm("mobius", {"alpha": al, "beta": be, "delta": de},
                       Interval(pole, math.inf) if be > 0.0 else Interval(-math.inf, pole))
+
+
+def rescale_relation(rel: RelationSpec, lam: float) -> RelationSpec:
+    """Relation satisfied by the rescaled surface lam * surface:
+    G(t) = g(lam^2 t) / lam.  Preserves the uniform ellipticity constant.
+    An f-form is rescaled only when it is exactly a linear relation's f,
+    and stays an f-form: that of the rescaled linear relation."""
+    if lam <= 0.0:
+        raise ValueError("rescaling factor must be positive")
+    if isinstance(rel, CMC):
+        return CMC(rel.h0 / lam)
+    if isinstance(rel, LinearWeingarten):
+        return LinearWeingarten(rel.alpha, lam * rel.beta, rel.delta / lam)
+    if isinstance(rel, GForm):
+        g = rel.g
+        if isinstance(g, ClosedForm):
+            if g.name == "constant":
+                return GForm(ClosedForm("constant", {"value": float(g.params["value"]) / lam},
+                                        g.domain))
+            if g.name == "sqrt_offset":
+                c, e, d = (float(g.params[k]) for k in ("scale", "offset", "shift"))
+                return GForm(ClosedForm("sqrt_offset",
+                                        {"scale": c, "offset": e / lam ** 2, "shift": d / lam},
+                                        g.domain))
+        if isinstance(g, SampledHermite):
+            return GForm(SampledHermite(g.breakpoints / lam ** 2, g.values / lam,
+                                        g.derivatives * lam))
+        raise RelationError(f"cannot rescale g of kind {type(g).__name__}/{getattr(g, 'name', '')}")
+    lin = linear_coefficients(rel)
+    if lin is None:
+        raise RelationError("rescale_relation needs a relation in g form or a linear f-form")
+    al, be, de = lin
+    linear = CMC(de / (2.0 * al)) if be == 0.0 else LinearWeingarten(al, be, de)
+    return FForm(f_function(rescale_relation(linear, lam)))
 
 
 def default_t_grid(t_max: float = DEFAULT_T_MAX, samples: int = DEFAULT_SAMPLES) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wlab.diagram import TriMesh
-from wlab.solver import GraphPatch
+from wlab.grid import GraphPatch
 
 
 @pytest.fixture

@@ -19,12 +19,12 @@ from wlab.diagram import (CurvatureDiagram, gamma_mu, gamma_to_wedge, mesh_diagr
                           qc_classify)
 from wlab.geometry import (conjugate_relation, detect_period, f_a,
                            offset_profile, parallel_curvatures, rotational_profile)
+from wlab.grid import GraphPatch, rescale_patch
 from wlab.jets import Jet2, curvatures_of_jet, h2k_eigenvalues, mean_gauss, q4, q4_rewritten
 from wlab.linop import cylinder_operator, variation_derivatives, variation_rhs_fields
 from wlab.relation import (CMC, ClosedForm, GForm, LinearWeingarten, certify_ellipticity,
-                           default_t_grid, f_function, umbilical_constant)
-from wlab.solver import (GraphPatch, blowup_select, newton_solve, rescale_patch,
-                         rescale_relation)
+                           default_t_grid, f_function, rescale_relation, umbilical_constant)
+from wlab.solver import blowup_select, newton_solve
 
 SQRT3_M2 = math.sqrt(3.0) - 2.0
 

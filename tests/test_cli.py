@@ -21,10 +21,11 @@ import wlab
 from conftest import make_flat_mesh, make_icosphere, write_obj
 from wlab import diagram, geometry
 from wlab.cli import EXIT_IO, _KEYS, _resolve, _solve, main
-from wlab.relation import (DEFAULT_T_MAX, ClosedForm, GForm, LinearWeingarten,
+from wlab.grid import GraphPatch
+from wlab.relation import (DEFAULT_T_MAX, ClosedForm, FForm, GForm, LinearWeingarten,
                            certify_ellipticity, f_function, f_to_g, g_to_f, relation_from_json,
                            relation_to_json)
-from wlab.solver import GraphPatch, newton_solve
+from wlab.solver import newton_solve
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -278,6 +279,32 @@ class TestParallel:
         code, _ = run(tmp_path, "parallel", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("a", [0.001, -0.001])
+    @pytest.mark.parametrize("form", ["g", "hermite_f"])
+    def test_sampled_conjugate_maps_f(self, tmp_path, form, a):
+        """The CI's g-form and its Hermite f conjugate to a Hermite f-form
+        through the images of f's breakpoints, and between them the
+        conjugate is F_a o f o F_a^-1: conj(F_a(x)) = F_a(f(x))."""
+        f = g_to_f(CI_G_FORM).f
+        rel = CI_G_FORM if form == "g" else FForm(f)
+        code, outdir = run(tmp_path, "parallel", {"relation": relation_to_json(rel), "a": a})
+        assert code == 0
+        conjugated = json.loads((outdir / "parallel_report.json").read_text())["conjugated"]
+        assert conjugated["kind"] == "f" and conjugated["function"]["kind"] == "hermite"
+        assert len(conjugated["function"]["x"]) == f.breakpoints.size
+        conj = relation_from_json(conjugated).f
+        x = 0.5 * (f.breakpoints[1:] + f.breakpoints[:-1])
+        expected = geometry.f_a(f(x), a)
+        assert np.max(np.abs(conj(geometry.f_a(x, a)) - expected) / np.abs(expected)) <= 1e-9
+
+    @pytest.mark.parametrize("form", ["g", "hermite_f"])
+    def test_zero_offset_keeps_the_relation(self, tmp_path, form):
+        rel = CI_G_FORM if form == "g" else g_to_f(CI_G_FORM)
+        code, outdir = run(tmp_path, "parallel", {"relation": relation_to_json(rel), "a": 0.0})
+        assert code == 0
+        report = json.loads((outdir / "parallel_report.json").read_text())
+        assert report["conjugated"] == report["relation"] == relation_to_json(rel)
+
 
 class TestLinop:
     def test_cmc_cylinder(self, tmp_path):
@@ -435,8 +462,9 @@ def reloaded_blowup_config(tmp_path):
 
 
 def same_selection_as_in_process(outdir):
+    from wlab.grid import GraphPatch
     from wlab.relation import relation_from_json
-    from wlab.solver import GraphPatch, blowup_select, newton_solve
+    from wlab.solver import blowup_select, newton_solve
     patch = GraphPatch.disk((0.0, 0.0), 1.0, RELOAD_SOLVE["h"])
     out = newton_solve(relation_from_json(RELOAD_SOLVE["relation"]), patch,
                        tol_res=RELOAD_SOLVE["tol_res"], max_iter=RELOAD_SOLVE["max_iter"])

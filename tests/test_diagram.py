@@ -245,7 +245,8 @@ class TestMeshes:
     def test_non_finite_vertex_rejected(self, bad):
         V = make_icosphere(1.0, 1).vertices
         V[[5, 9], 2] = bad
-        with pytest.raises(MeshError, match=r"^non-finite coordinate at vertex 5$"):
+        with pytest.raises(MeshError, match=r"^non-finite coordinate at vertex 6, "
+                                            r"vertices numbered from 1 as in OBJ$"):
             TriMesh(V, make_icosphere(1.0, 1).faces)
 
     def test_vertex_normals_sum_as_add_at(self):
@@ -341,8 +342,10 @@ class TestObjReader:
         ("f 1 2 3\n", "OBJ contains no usable triangles"),
         ("", "OBJ contains no usable triangles"),
         (HEAD + "f 1 2 4\n", "face index out of range"),
-        (HEAD + "v nan 0 0\nf 1 2 3\n", "non-finite coordinate at vertex 3"),
-        ("v 0 0 0\nv 1 inf 0\n" + HEAD + "f 1 3 4\n", "non-finite coordinate at vertex 1"),
+        (HEAD + "v nan 0 0\nf 1 2 3\n",
+         "non-finite coordinate at vertex 4, vertices numbered from 1 as in OBJ"),
+        ("v 0 0 0\nv 1 inf 0\n" + HEAD + "f 1 3 4\n",
+         "non-finite coordinate at vertex 2, vertices numbered from 1 as in OBJ"),
         # beyond int64: the record loop reads it, the array of faces cannot hold it
         (HEAD + "f 1 2 99999999999999999999\n", "face index out of range"),
     ])
@@ -404,7 +407,8 @@ def face_order_topology_error(faces):
     for a, b, c in faces:
         for u, v in ((a, b), (b, c), (c, a)):
             if (u, v) in directed:
-                return f"inconsistent orientation at edge ({u}, {v})"
+                return (f"inconsistent orientation at edge ({u + 1}, {v + 1}), "
+                        "vertices numbered from 1 as in OBJ")
             directed.add((u, v))
             key = (min(u, v), max(u, v))
             undirected[key] = undirected.get(key, 0) + 1
@@ -559,8 +563,10 @@ class TestBatchedFits:
         V = np.zeros((8, 3))
         # {0, 1} is on three faces; (2, 0) repeats a direction before (0, 1) does
         F = np.array([[0, 1, 2], [2, 1, 3], [1, 0, 4], [2, 0, 5], [0, 1, 6], [1, 2, 7]])
-        assert face_order_topology_error(F) == "inconsistent orientation at edge (2, 0)"
-        with pytest.raises(MeshError, match=r"^inconsistent orientation at edge \(2, 0\)$"):
+        assert face_order_topology_error(F) == ("inconsistent orientation at edge (3, 1), "
+                                                "vertices numbered from 1 as in OBJ")
+        with pytest.raises(MeshError, match=r"^inconsistent orientation at edge \(3, 1\), "
+                                            r"vertices numbered from 1 as in OBJ$"):
             mesh_diagram(TriMesh(V, F))
 
     def test_topology_errors_match_the_face_order_loop(self, rng):

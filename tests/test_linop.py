@@ -198,7 +198,7 @@ class TestApplyLg:
         # positive definite pointwise
         from wlab.jets import mean_gauss
         from wlab.relation import g_of
-        from wlab.solver import jet_fields
+        from wlab.grid import jet_fields
         patch = PATCH_MAKERS[name](48)
         p, q, r, s, t = jet_fields(patch)
         keep = np.isfinite(p)

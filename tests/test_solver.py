@@ -23,13 +23,13 @@ from conftest import cap_exact
 from wlab.errors import DomainError, RelationError
 from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
                            SampledHermite, certify_ellipticity, default_t_grid, f_function,
-                           g_of, umbilical_constant)
+                           g_of, rescale_relation, umbilical_constant)
 from scipy.sparse.linalg import spsolve as scipy_spsolve
 
-from wlab import solver
-from wlab.solver import (BlowupSelection, GraphPatch, blowup_select, intrinsic_distances,
-                         jet_fields, nested_dissection, newton_solve, rescale_patch,
-                         rescale_relation, second_fundamental_norm_field, spsolve, write_csv)
+from wlab import grid, solver
+from wlab.grid import GraphPatch, jet_fields, rescale_patch, write_csv
+from wlab.solver import (BlowupSelection, blowup_select, intrinsic_distances, nested_dissection,
+                         newton_solve, second_fundamental_norm_field, spsolve)
 
 SQRT3_M2 = math.sqrt(3.0) - 2.0
 
@@ -628,7 +628,7 @@ def coo_graph(patch, allowed):
     node = np.full((ny, nx), -1)
     node[allowed] = np.arange(n)
     rows, cols, lengths = [], [], []
-    for dy, dx in solver._NEIGHBORS8:
+    for dy, dx in grid.NEIGHBORS8:
         a = (slice(max(-dy, 0), ny - max(dy, 0)), slice(max(-dx, 0), nx - max(dx, 0)))
         b = (slice(max(dy, 0), ny + min(dy, 0)), slice(max(dx, 0), nx + min(dx, 0)))
         both = allowed[a] & allowed[b]
@@ -899,8 +899,8 @@ def _loop_disk(center, radius, h, boundary, seen):
     X, Y = patch.xy()
     rho2 = (X - cx) ** 2 + (Y - cy) ** 2
     patch.mask = rho2 <= radius * radius * (1.0 + 1e-12)
-    patch.values = np.where(patch.mask, np.asarray(solver._as_bc(0.0)(X, Y), dtype=float), np.nan)
-    bc = solver._as_bc(boundary)
+    patch.values = np.where(patch.mask, np.asarray(grid._as_bc(0.0)(X, Y), dtype=float), np.nan)
+    bc = grid._as_bc(boundary)
     R = radius
     cut = np.argwhere(patch.boundary_mask())
     nodes, inners, taus, lens_, bcs = [], [], [], [], []
@@ -909,7 +909,7 @@ def _loop_disk(center, radius, h, boundary, seen):
         px = patch.x0 + ix * patch.h - cx
         py = patch.y0 + iy * patch.h - cy
         best = None
-        for dy, dx in solver._NEIGHBORS8:
+        for dy, dx in grid.NEIGHBORS8:
             jy, jx = iy + dy, ix + dx
             outside = not (0 <= jy < ny and 0 <= jx < nx) or not patch.mask[jy, jx]
             if not outside:
@@ -1206,11 +1206,11 @@ class TestWriteCsv:
         self.assert_same_bytes(tmp_path, list(table.T))
         # the same rows in blocks of 7, so block ends fall on every kind of value
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(solver, "CSV_BLOCK", 7)
+            m.setattr(grid, "CSV_BLOCK", 7)
             self.assert_same_bytes(tmp_path, list(table.T))
 
     def test_rows_across_blocks(self, tmp_path, rng):
-        n = 2 * solver.CSV_BLOCK + 3
+        n = 2 * grid.CSV_BLOCK + 3
         values = np.array(EDGE_FLOATS + SPECIAL_FLOATS)
         table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-310, 300, (n, 3))
         edge = rng.random((n, 3)) < 0.2
