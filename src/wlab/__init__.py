@@ -8,6 +8,4 @@ evaluation), `grid` (graph patches, their artifacts, the CSV writer),
 audits), `linop` (the linearized operator), `cli` (the batch front end).
 """
 
-from . import diagram, geometry, grid, jets, linop, relation, solver  # noqa: F401
-
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MeshError
-from .jets import h2_minus_k, mean_gauss
+from .jets import principal_curvatures
 
 ZERO_TOL = 1.0e-13          # absolute tolerance for "exactly zero" curvature
 FIT_COND_LIMIT = 1.0e8      # quadric fits above this condition number are skipped
@@ -354,9 +354,7 @@ def mesh_diagram(mesh: TriMesh) -> CurvatureDiagram:
         A = np.stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y], axis=-1)
         ok, coef = _ring_fits(A, zn)
         skipped_degenerate += int(np.count_nonzero(~ok))
-        H, K = mean_gauss(*coef[ok].T)
-        root = np.sqrt(h2_minus_k(H, K))
-        pairs.append(np.column_stack([H + root, H - root]))
+        pairs.append(np.column_stack(principal_curvatures(*coef[ok].T)))
     pairs = np.concatenate([np.empty((0, 2))] + pairs)
     if not len(pairs):
         raise MeshError("no vertex produced a usable curvature fit")

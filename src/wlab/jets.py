@@ -2,17 +2,16 @@
 
 A jet (p, q, r, s, t) packs the first and second derivatives of u at a
 point.  This module holds the one curvature kernel every other module
-calls: the 9-point stencil that reads jets off a grid, mean and Gauss
-curvature of the graph there (upward unit normal), t = H^2 - K, g and g'
-at that t, the residual of a Weingarten relation and its first
-derivatives.  It also holds the spectral quantities controlling uniform
-ellipticity: the eigenvalues of the quadratic form of
-(1+p^2+q^2)^2 * (H^2 - K) in (r, s, t), the quartic discriminant underneath
-them, and the minimum of the second-order symbol over a compact jet box.
+calls: the 9-point stencil that reads jets off a grid, mean, Gauss and
+principal curvatures of the graph there (upward unit normal), t = H^2 - K,
+g and g' at that t, the residual of a Weingarten relation and its first
+derivatives, and the eigenvalues of the quadratic form of
+(1+p^2+q^2)^2 * (H^2 - K) in (r, s, t) with the quartic discriminant
+underneath them.  Of the package it imports only `errors`.
 
 Clamp rule: H^2 - K = ((k1 - k2)/2)^2 is never negative for a jet, so a
-negative value is roundoff, whose size scales with H^2 + |K|.  Every caller
-therefore uses t = max(H^2 - K, 0) (`h2_minus_k`); no absolute tolerance is
+negative value is roundoff, whose size scales with H^2 + |K|.  `g_at` reads
+g at t = max(H^2 - K, 0) (`h2_minus_k`); no absolute tolerance is
 involved, which keeps the residual closed under rescaling.
 """
 
@@ -23,10 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EllipticityError
-from .relation import RelationSpec, certify_ellipticity, g_of
-
-DEFAULT_MU0 = 10.0       # default l1 radius of the compact jet box
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -64,6 +60,22 @@ def mean_gauss(p, q, r, s, t):
     H = ((1.0 + q * q) * r - 2.0 * p * q * s + (1.0 + p * p) * t) / (2.0 * w2 ** 1.5)
     K = (r * t - s * s) / (w2 * w2)
     return H, K
+
+
+def principal_curvatures(p, q, r, s, t):
+    """(k1, k2), k1 >= k2, of the graph with upward normal: the eigenvalues of
+    C^-1 II C^-T for the Cholesky factor C of the first fundamental form, whose
+    half difference, unlike sqrt(H^2 - K), does not cancel at an umbilic."""
+    p, q, r, s, t = (np.asarray(v, dtype=float) for v in (p, q, r, s, t))
+    a = 1.0 + p * p
+    w2 = a + q * q
+    m = p * q / a                # C21 / C11
+    s11 = r / (np.sqrt(w2) * a)
+    s12 = (s - m * r) / w2
+    s22 = (t - m * (2.0 * s - m * r)) * a / w2 ** 1.5
+    mid = 0.5 * (s11 + s22)
+    rad = np.hypot(0.5 * (s11 - s22), s12)
+    return mid + rad, mid - rad
 
 
 def curvatures_of_jet(j: Jet2):
@@ -164,62 +176,3 @@ def h2k_eigenvalues(p, q):
     lam1 = (base + root) / (8.0 * w2)
     lam2 = (base - root) / (8.0 * w2)
     return lam1, lam2, np.zeros_like(lam1)
-
-
-# ---------------------------------------------------------------------------
-# Compact jet box and uniform ellipticity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThetaBox:
-    """Compact jet set {p^2+q^2 <= slope_bound, |p|+|q|+|r|+|s|+|t| <= l1_bound}."""
-
-    slope_bound: float = 9.0 / 4.0
-    l1_bound: float = DEFAULT_MU0
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """count x 5 array of jets drawn inside the box (not exactly uniform;
-        adequate for infimum estimation)."""
-        out = np.empty((count, 5))
-        got = 0
-        while got < count:
-            n = count - got
-            ang = rng.uniform(0.0, 2.0 * math.pi, n)
-            rad = np.sqrt(rng.uniform(0.0, 1.0, n)) * math.sqrt(self.slope_bound)
-            p, q = rad * np.cos(ang), rad * np.sin(ang)
-            rem = self.l1_bound - np.abs(p) - np.abs(q)
-            ok = rem > 0.0
-            if not np.any(ok):
-                continue
-            p, q, rem = p[ok], q[ok], rem[ok]
-            y = rng.uniform(-1.0, 1.0, (p.size, 3))
-            l1 = np.sum(np.abs(y), axis=1)
-            l1[l1 == 0.0] = 1.0
-            scale = rem * rng.uniform(0.0, 1.0, p.size) ** (1.0 / 3.0) / l1
-            block = np.column_stack([p, q, y * scale[:, None]])
-            take = min(block.shape[0], count - got)
-            out[got:got + take] = block[:take]
-            got += take
-        return out
-
-
-def uniform_ellipticity_lambda(rel: RelationSpec) -> float:
-    """Infimum over sampled jets of the smallest eigenvalue of the
-    second-order symbol [[F_r, F_s/2], [F_s/2, F_t]]: the origin jet and
-    10,000 jets of the default `ThetaBox`, drawn with seed 0.
-    Positive for uniformly elliptic relations; a non-positive result raises."""
-    report = certify_ellipticity(rel)
-    if report.uniform_constant_Lambda is None:
-        raise EllipticityError("uniform_ellipticity_lambda needs a uniformly elliptic relation")
-    g = g_of(rel)
-    jets = np.vstack([np.zeros(5), ThetaBox().sample(10_000, np.random.default_rng(0))])
-    _, grads = residual_fields(g, *(jets[:, i] for i in range(5)), with_gradient=True)
-    Fr, Fs, Ft = grads[2], grads[3], grads[4]
-    mid = 0.5 * (Fr + Ft)
-    rad = np.sqrt((0.5 * (Fr - Ft)) ** 2 + (0.5 * Fs) ** 2)
-    lam = float(np.min(mid - rad))
-    if lam <= 0.0:
-        raise EllipticityError(
-            f"second-order symbol loses definiteness (min eigenvalue {lam:.3e}) "
-            "for a relation certified uniformly elliptic")
-    return lam

@@ -17,6 +17,9 @@ when L_g[phi] > 0.
 Everything here is realized in the graph chart with centered differences;
 the finite-difference variation path and the formula path agree to
 O(tau^2 + h^2) and are exercised against each other in the tests.
+
+`uniform_ellipticity_lambda` bounds the linearization's principal symbol
+[[F_r, F_s/2], [F_s/2, F_t]] from below over a compact `ThetaBox` of jets.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ import numpy as np
 
 from .errors import EllipticityError, RelationError
 from .grid import GraphPatch, jet_fields
-from .jets import mean_gauss, stencil_jets
-from .relation import RelationSpec, g_of
+from .jets import mean_gauss, residual_fields, stencil_jets
+from .relation import RelationSpec, certify_ellipticity, g_of
+
+DEFAULT_MU0 = 10.0       # default l1 radius of the compact jet box
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +210,62 @@ def perturbation_threshold(op: CylinderOperator, L: float, r: float) -> float:
         if not 0.0 < value < math.inf:
             raise ValueError(f"box half-size {key!r} must be finite and > 0, got {value!r}")
     return -op.A * (math.pi / (2.0 * L)) ** 2 - op.B * (math.pi / (2.0 * r)) ** 2 + op.C
+
+
+# ---------------------------------------------------------------------------
+# Compact jet box and uniform ellipticity
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ThetaBox:
+    """Compact jet set {p^2+q^2 <= slope_bound, |p|+|q|+|r|+|s|+|t| <= l1_bound}."""
+
+    slope_bound: float = 9.0 / 4.0
+    l1_bound: float = DEFAULT_MU0
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """count x 5 array of jets drawn inside the box (not exactly uniform;
+        adequate for infimum estimation)."""
+        out = np.empty((count, 5))
+        got = 0
+        while got < count:
+            n = count - got
+            ang = rng.uniform(0.0, 2.0 * math.pi, n)
+            rad = np.sqrt(rng.uniform(0.0, 1.0, n)) * math.sqrt(self.slope_bound)
+            p, q = rad * np.cos(ang), rad * np.sin(ang)
+            rem = self.l1_bound - np.abs(p) - np.abs(q)
+            ok = rem > 0.0
+            if not np.any(ok):
+                continue
+            p, q, rem = p[ok], q[ok], rem[ok]
+            y = rng.uniform(-1.0, 1.0, (p.size, 3))
+            l1 = np.sum(np.abs(y), axis=1)
+            l1[l1 == 0.0] = 1.0
+            scale = rem * rng.uniform(0.0, 1.0, p.size) ** (1.0 / 3.0) / l1
+            block = np.column_stack([p, q, y * scale[:, None]])
+            take = min(block.shape[0], count - got)
+            out[got:got + take] = block[:take]
+            got += take
+        return out
+
+
+def uniform_ellipticity_lambda(rel: RelationSpec) -> float:
+    """Infimum over sampled jets of the smallest eigenvalue of the
+    second-order symbol [[F_r, F_s/2], [F_s/2, F_t]]: the origin jet and
+    10,000 jets of the default `ThetaBox`, drawn with seed 0.
+    Positive for uniformly elliptic relations; a non-positive result raises."""
+    report = certify_ellipticity(rel)
+    if report.uniform_constant_Lambda is None:
+        raise EllipticityError("uniform_ellipticity_lambda needs a uniformly elliptic relation")
+    g = g_of(rel)
+    jets = np.vstack([np.zeros(5), ThetaBox().sample(10_000, np.random.default_rng(0))])
+    _, grads = residual_fields(g, *(jets[:, i] for i in range(5)), with_gradient=True)
+    Fr, Fs, Ft = grads[2], grads[3], grads[4]
+    mid = 0.5 * (Fr + Ft)
+    rad = np.sqrt((0.5 * (Fr - Ft)) ** 2 + (0.5 * Fs) ** 2)
+    lam = float(np.min(mid - rad))
+    if lam <= 0.0:
+        raise EllipticityError(
+            f"second-order symbol loses definiteness (min eigenvalue {lam:.3e}) "
+            "for a relation certified uniformly elliptic")
+    return lam

@@ -719,21 +719,20 @@ def g_to_f(rel: RelationSpec, t_grid: Optional[np.ndarray] = None) -> FForm:
     return FForm(SampledHermite(xs[keep], ys[keep], dys[keep]))
 
 
-def f_to_g(rel: RelationSpec, x_grid: Optional[np.ndarray] = None) -> GForm:
+def f_to_g(rel: RelationSpec) -> GForm:
     """Convert an f-side relation to a sampled g via t = (x-f(x))^2/4,
     g(t) = (x+f(x))/2; duplicate t from symmetric pairs collapse."""
     f = f_function(rel)
     if f is None:
         raise RelationError("f_to_g needs a relation with an f form")
-    if x_grid is None:
-        x_grid = _fform_sample_grid(f, DEFAULT_T_MAX, 4000)
-        # reach t = 0: cluster samples around the fixed point f(a) = a
-        alpha = _fform_fixed_point(f, x_grid, np.asarray(f(x_grid), dtype=float))
-        if alpha is not None:
-            spread = alpha + np.concatenate([[0.0], np.logspace(-8, 0, 60),
-                                             -np.logspace(-8, 0, 60)])
-            x_grid = np.concatenate([x_grid, spread[f.domain.contains(spread)]])
-    xs = np.unique(np.asarray(x_grid, dtype=float))
+    xs = _fform_sample_grid(f, DEFAULT_T_MAX, 4000)
+    # reach t = 0: cluster samples around the fixed point f(a) = a
+    alpha = _fform_fixed_point(f, xs, np.asarray(f(xs), dtype=float))
+    if alpha is not None:
+        spread = alpha + np.concatenate([[0.0], np.logspace(-8, 0, 60),
+                                         -np.logspace(-8, 0, 60)])
+        xs = np.concatenate([xs, spread[f.domain.contains(spread)]])
+    xs = np.unique(xs)
     fx = np.asarray(f(xs), dtype=float)
     df = np.asarray(f.derivative(xs), dtype=float)
     if not np.all(df < 0.0):
@@ -759,7 +758,7 @@ def f_to_g(rel: RelationSpec, x_grid: Optional[np.ndarray] = None) -> GForm:
             raise RelationError("too few usable samples to build g")
         dgs[bad] = np.interp(ts[bad], ts[good], dgs[good])
     if ts.size < 2:
-        raise RelationError("x_grid produces fewer than two distinct t samples")
+        raise RelationError("the x samples give fewer than two distinct t samples")
     return GForm(SampledHermite(ts, gs, dgs))
 
 

@@ -84,6 +84,17 @@ def planar_curvature_5pt(r, z, h):
     return (rp * zpp - zp * rpp) / speed ** 3
 
 
+def shape_operator_pairs(p, q, r, s, t) -> np.ndarray:
+    """Reference principal curvatures of graph jets, one (k1, k2) row each,
+    k1 >= k2: the eigenvalues of I^-1 II by numpy's general eigensolver,
+    with no square root of H^2 - K."""
+    first = np.stack([1.0 + p * p, p * q, p * q, 1.0 + q * q], axis=-1).reshape(-1, 2, 2)
+    second = np.stack([r, s, s, t], axis=-1).reshape(-1, 2, 2)
+    second /= np.sqrt(1.0 + p * p + q * q)[:, None, None]
+    k = np.linalg.eigvals(np.linalg.solve(first, second)).real
+    return -np.sort(-k, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Triangle meshes (canonical test surfaces carry their inner orientation,
 # which makes sphere and cylinder curvatures positive)

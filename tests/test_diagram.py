@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cylinder_mesh, make_flat_mesh, make_icosphere, write_obj
+from conftest import (make_cylinder_mesh, make_flat_mesh, make_icosphere, shape_operator_pairs,
+                      write_obj)
 from wlab import diagram
 from wlab.diagram import (FIT_BLOCK, FIT_COND_LIMIT, CurvatureDiagram, QCReport, TriMesh,
                           _vertex_normals, gamma_mu, gamma_to_wedge, load_obj, mesh_diagram,
@@ -451,10 +452,11 @@ def reference_designs(mesh):
         yield np.column_stack([x, y, 0.5 * x * x, x * y, 0.5 * y * y]), d @ n
 
 
-def per_vertex_fits(mesh):
+def per_vertex_coefficients(mesh):
     """Reference: the per-vertex SVD condition test and lstsq fit that
-    mesh_diagram replaced.  Returns (H, K) of each fitted vertex in vertex
-    order and the number of interior vertices skipped as degenerate."""
+    mesh_diagram replaced.  Returns the jet (p, q, r, s, t) of each fitted
+    vertex in vertex order, one row each, and the number of interior
+    vertices skipped as degenerate."""
     fits, skipped = [], 0
     for design in reference_designs(mesh):
         if design is None:
@@ -465,8 +467,20 @@ def per_vertex_fits(mesh):
         if sv[-1] <= 0.0 or sv[0] / sv[-1] > FIT_COND_LIMIT:
             skipped += 1
             continue
-        fits.append(mean_gauss(*np.linalg.lstsq(A, z, rcond=None)[0]))
-    return np.array(fits), skipped
+        fits.append(np.linalg.lstsq(A, z, rcond=None)[0])
+    return np.array(fits).reshape(-1, 5), skipped
+
+
+def per_vertex_fits(mesh):
+    """(H, K) of each `per_vertex_coefficients` fit, one row each, and the
+    number of vertices skipped."""
+    coef, skipped = per_vertex_coefficients(mesh)
+    return np.column_stack(mean_gauss(*coef.T)), skipped
+
+
+FIT_MESHES = [make_icosphere(1.7, 3), quadric_graph_mesh(21, 2.0, -0.5),
+              make_cylinder_mesh(nth=24, nz=8), perturbed_icosphere(), make_icosphere(2.0, 4),
+              make_icosphere(2.0, 5), condition_straddle_mesh()]
 
 
 def design_conditions(mesh) -> np.ndarray:
@@ -493,12 +507,10 @@ class TestBatchedFits:
         # the vertex at the origin sees the quadric's own curvatures
         np.testing.assert_allclose(d.samples[47 * 23 + 23], [a, b], rtol=1e-4)
 
-    # H and K, not the pairs: at an umbilic, sqrt(H^2 - K) turns differences
+    # H and K of the fits; the pairs are held to the fits' shape operator in
+    # the next test, since at an umbilic H +- sqrt(H^2 - K) turns differences
     # of 1e-14 in H and K into 1e-8 in k1 and k2
-    @pytest.mark.parametrize("mesh", [make_icosphere(1.7, 3), quadric_graph_mesh(21, 2.0, -0.5),
-                                      make_cylinder_mesh(nth=24, nz=8), perturbed_icosphere(),
-                                      make_icosphere(2.0, 4), make_icosphere(2.0, 5),
-                                      condition_straddle_mesh()])
+    @pytest.mark.parametrize("mesh", FIT_MESHES)
     def test_agrees_with_the_per_vertex_loop(self, mesh):
         d = mesh_diagram(mesh)
         fits, skipped = per_vertex_fits(mesh)
@@ -511,6 +523,13 @@ class TestBatchedFits:
         got, want = qc_classify(d), qc_classify(CurvatureDiagram(np.column_stack([H + root, H - root])))
         assert got.classification == want.classification
         assert got.gamma_star == pytest.approx(want.gamma_star, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("mesh", FIT_MESHES + [make_icosphere(1.3, 4)])
+    def test_pairs_are_the_shape_operator_eigenvalues(self, mesh):
+        coef, _ = per_vertex_coefficients(mesh)
+        ref = shape_operator_pairs(*coef.T)
+        err = np.max(np.abs(mesh_diagram(mesh).samples - ref), axis=1)
+        assert np.max(err / np.max(np.abs(ref), axis=1)) < 1e-12
 
     def test_pairs_agree_off_the_umbilics(self):
         mesh = perturbed_icosphere()

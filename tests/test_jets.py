@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shape_operator_pairs
 from wlab.errors import EllipticityError
-from wlab.jets import (Jet2, ThetaBox, curvatures_of_jet, h2k_eigenvalues, mean_gauss, q4,
-                       q4_rewritten, residual_fields, uniform_ellipticity_lambda)
+from wlab.jets import (Jet2, curvatures_of_jet, h2k_eigenvalues, mean_gauss, principal_curvatures,
+                       q4, q4_rewritten, residual_fields)
+from wlab.linop import ThetaBox, uniform_ellipticity_lambda
 from wlab.relation import CMC, ClosedForm, GForm, LinearWeingarten, g_of
 
 
@@ -109,6 +111,24 @@ class TestCurvatures:
         j = rng.normal(0.0, 2.0, (5, 20000))
         H, K = mean_gauss(*j)
         assert np.min(H * H - K) >= -1e-14
+
+    def test_principal_curvatures_are_the_shape_operator_eigenvalues(self, rng):
+        p, q, r, s, t = rng.normal(0.0, 1.5, (5, 2000))
+        k = np.column_stack(principal_curvatures(p, q, r, s, t))
+        ref = shape_operator_pairs(p, q, r, s, t)
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.max(np.max(np.abs(k - ref), axis=1) / scale) < 1e-12
+        H, K = mean_gauss(p, q, r, s, t)
+        assert np.max(np.abs(k.mean(axis=1) - H) / scale) < 1e-12
+        assert np.max(np.abs(k.prod(axis=1) - K) / scale ** 2) < 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(radii, st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi))
+    def test_sphere_jets_are_umbilic_to_the_last_digits(self, rho, frac, angle):
+        # H +- sqrt(H^2 - K) would keep only about half of these digits
+        jet = sphere_jet(rho, frac * math.cos(angle), frac * math.sin(angle))
+        for k in principal_curvatures(*astuple(jet)):
+            assert abs(k * rho - 1.0) <= 1e-14
 
     def test_rotation_covariance(self, rng):
         for _ in range(1000):

@@ -153,7 +153,7 @@ class TestConversions:
         rel = LinearWeingarten(0.0, 1.0, 1.0)
         t_grid = np.concatenate([[0.0], np.logspace(-6, 3, 500)])
         ff = g_to_f(rel, t_grid)
-        gb = f_to_g(ff, ff.f.breakpoints)
+        gb = f_to_g(ff)
         g_true = g_of(rel)
         ts = gb.g.breakpoints
         err = np.abs(np.asarray(gb.g(ts)) - np.asarray(g_true(ts)))
