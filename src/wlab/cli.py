@@ -7,9 +7,9 @@ Configs are JSON files; repeated --set overrides replace dotted keys, with
 values parsed as JSON where possible (bare words fall back to strings).
 A config is checked against its command's keys in `_KEYS`, and their
 defaults filled in, before the command runs.
-Every command writes a deterministic summary JSON (sorted keys, seed
-recorded, no timestamp; the wall-clock stamp goes to run_stamp.txt) plus
-CSV artifacts next to it.
+Every command writes one deterministic `<command>_report.json` (sorted
+keys, seed recorded, no timestamp; the wall-clock stamp goes to
+run_stamp.txt), through `_write_report`, plus CSV artifacts next to it.
 
 Exit codes: 0 ok, 1 I/O or parse error, 2 certification/validity failure,
 3 solver non-convergence.
@@ -23,7 +23,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,22 +37,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CERTIFICATION = 2
 EXIT_SOLVER = 3
-
-
-@dataclass
-class ExperimentConfig:
-    """Where one experiment writes, and the seed its summaries record."""
-
-    out_dir: Path
-    seed: int
-
-    def write_summary(self, name: str, payload: dict):
-        # a non-finite number raises ValueError here, before any file opens
-        text = json.dumps({**payload, "seed": self.seed}, sort_keys=True, indent=2,
-                          allow_nan=False)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / name).write_text(text + "\n")
-        (self.out_dir / "run_stamp.txt").write_text(datetime.datetime.now().isoformat() + "\n")
 
 
 def _set_override(tree: dict, dotted: str, raw: str):
@@ -214,17 +197,16 @@ def _resolve(command: str, params, name: str = "") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each reads its resolved keys `p`
+# Commands: each reads its resolved keys `p`, writes its CSVs and patch to
+# `out`, and returns its exit code and its report's fields (None for no report)
 # ---------------------------------------------------------------------------
 
-def _cmd_certify(p: dict, cfg: ExperimentConfig) -> int:
+def _cmd_certify(p: dict, out: Path) -> tuple:
     report = certify_ellipticity(p["relation"], t_max=p["t_max"], samples=p["samples"])
-    cfg.write_summary("certify_report.json", {
+    return (EXIT_OK if report.is_elliptic else EXIT_CERTIFICATION), {
         "check": "ellipticity_certification",
-        "relation": relation_to_json(p["relation"]),
         "report": report.to_json(),
-    })
-    return EXIT_OK if report.is_elliptic else EXIT_CERTIFICATION
+    }
 
 
 def _solve(p: dict) -> solver.SolveOutcome:
@@ -233,43 +215,38 @@ def _solve(p: dict) -> solver.SolveOutcome:
     return solver.newton_solve(p["relation"], patch, tol_res=p["tol_res"], max_iter=p["max_iter"])
 
 
-def _cmd_solve(p: dict, cfg: ExperimentConfig) -> int:
+def _cmd_solve(p: dict, out: Path) -> tuple:
     outcome = _solve(p)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    outcome.final_patch.save(cfg.out_dir / "solution.csv", cfg.out_dir / "solution_header.json")
-    summary = {
+    out.mkdir(parents=True, exist_ok=True)
+    outcome.final_patch.save(out / "solution.csv", out / "solution_header.json")
+    fields = {
         "check": "dirichlet_solve",
-        "relation": relation_to_json(p["relation"]),
         "outcome": outcome.to_json(),
         "interior_nodes": int(outcome.final_patch.interior_mask().sum()),
     }
     if p["benchmark_center_value"] is not None and outcome.status == "converged":
         center = outcome.final_patch.values[tuple(n // 2 for n in outcome.final_patch.shape)]
-        summary["center_value"] = float(center)
-        summary["center_value_error"] = float(abs(center - p["benchmark_center_value"]))
-    cfg.write_summary("solve_report.json", summary)
-    return EXIT_OK if outcome.status == "converged" else EXIT_SOLVER
+        fields["center_value"] = float(center)
+        fields["center_value_error"] = float(abs(center - p["benchmark_center_value"]))
+    return (EXIT_OK if outcome.status == "converged" else EXIT_SOLVER), fields
 
 
-def _cmd_revolve(p: dict, cfg: ExperimentConfig) -> int:
+def _cmd_revolve(p: dict, out: Path) -> tuple:
     profile = geometry.rotational_profile(p["relation"], p["seed_state"], step=p["step"],
                                           s_max=p["s_max"])
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    grid.write_csv(cfg.out_dir / "profile.csv", "s,r,z,theta,kappa_m,kappa_p",
+    out.mkdir(parents=True, exist_ok=True)
+    grid.write_csv(out / "profile.csv", "s,r,z,theta,kappa_m,kappa_p",
                    [profile.s, profile.r, profile.z, profile.theta, profile.kappa_m,
                     profile.kappa_p])
-    period = geometry.detect_period(profile)
-    cfg.write_summary("revolve_report.json", {
+    return EXIT_OK, {
         "check": "rotational_profile_generation",
-        "relation": relation_to_json(p["relation"]),
         "samples": len(profile),
         "termination": profile.reason,
-        "period": period,
-    })
-    return EXIT_OK
+        "period": geometry.detect_period(profile),
+    }
 
 
-def _cmd_diagram(p: dict, cfg: ExperimentConfig) -> int:
+def _cmd_diagram(p: dict, out: Path) -> tuple:
     if p["mesh"] is not None:
         diag = diagram_mod.mesh_diagram(diagram_mod.load_obj(p["mesh"]))
     elif p["pairs_csv"] is not None:
@@ -282,57 +259,51 @@ def _cmd_diagram(p: dict, cfg: ExperimentConfig) -> int:
     else:
         raise ValueError("diagram config needs 'mesh', 'pairs_csv' or 'pairs'")
     report = diagram_mod.qc_classify(diag)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    grid.write_csv(cfg.out_dir / "diagram.csv", "k1,k2", diag.samples.T)
-    cfg.write_summary("diagram_report.json", {
+    out.mkdir(parents=True, exist_ok=True)
+    grid.write_csv(out / "diagram.csv", "k1,k2", diag.samples.T)
+    return EXIT_OK, {
         "check": "quasiconformality_classification",
         "source": diag.source,
         "sample_count": len(diag),
         "notes": diag.notes,
         "qc": report.to_json(),
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_parallel(p: dict, cfg: ExperimentConfig) -> int:
-    conj = geometry.conjugate_relation(p["relation"], p["a"])
-    payload = {
+def _cmd_parallel(p: dict, out: Path) -> tuple:
+    fields = {
         "check": "parallel_surface_conjugation",
-        "relation": relation_to_json(p["relation"]),
         "offset": p["a"],
-        "conjugated": relation_to_json(conj),
+        "conjugated": relation_to_json(geometry.conjugate_relation(p["relation"], p["a"])),
     }
     if p["pairs"] is not None and len(p["pairs"]):
         rows = np.column_stack([p["pairs"], *geometry.parallel_curvatures(p["pairs"], p["a"])])
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        grid.write_csv(cfg.out_dir / "parallel_pairs.csv",
+        out.mkdir(parents=True, exist_ok=True)
+        grid.write_csv(out / "parallel_pairs.csv",
                        "k1,k2,k1_offset,k2_offset,metric_factor_1,metric_factor_2", rows.T)
-        payload["pairs_written"] = len(rows)
-    cfg.write_summary("parallel_report.json", payload)
-    return EXIT_OK
+        fields["pairs_written"] = len(rows)
+    return EXIT_OK, fields
 
 
-def _cmd_linop(p: dict, cfg: ExperimentConfig) -> int:
+def _cmd_linop(p: dict, out: Path) -> tuple:
     op = linop.cylinder_operator(p["relation"], p["r0"])
-    cfg.write_summary("linop_report.json", {
+    return EXIT_OK, {
         "check": "cylinder_linearized_operator",
-        "relation": relation_to_json(p["relation"]),
         "operator": op.to_json(),
         "threshold": linop.perturbation_threshold(op, p["L"], p["r"]),
         "box": [p["L"], p["r"]],
         "critical_square_half_size": 0.5 * math.pi * math.sqrt((op.A + op.B) / op.C),
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_blowup(p: dict, cfg: ExperimentConfig) -> int:
+def _cmd_blowup(p: dict, out: Path) -> tuple:
     spec = p["patch"]
     if "load" in spec:
         patch = grid.GraphPatch.load(*spec["load"])
     else:
         outcome = _solve(spec["solve"])
         if outcome.status != "converged":
-            return EXIT_SOLVER
+            return EXIT_SOLVER, None
         patch = outcome.final_patch
     sigma, synth = None, p["synthetic_sigma"]
     if synth is not None:
@@ -342,13 +313,25 @@ def _cmd_blowup(p: dict, cfg: ExperimentConfig) -> int:
             sigma[iy, ix] += amplitude
     center = p["center"] or tuple(n // 2 for n in patch.shape)
     sel = solver.blowup_select(patch, center, p["radius"], sigma_field=sigma)
-    cfg.write_summary("blowup_report.json", {
+    return EXIT_OK, {
         "check": "blowup_maximizer_selection",
         "selection": sel.to_json(),
         "radius": p["radius"],
         "synthetic_sigma": synth is not None,
-    })
-    return EXIT_OK
+    }
+
+
+def _write_report(out: Path, command: str, p: dict, fields: dict, seed: int):
+    """`<command>_report.json` in `out`: the command's fields, the relation
+    it read (when its keys hold one at the top level) and the seed; then
+    run_stamp.txt, which alone holds the wall clock."""
+    if "relation" in p:
+        fields = {**fields, "relation": relation_to_json(p["relation"])}
+    # a non-finite number raises ValueError here, before any file opens
+    text = json.dumps({**fields, "seed": seed}, sort_keys=True, indent=2, allow_nan=False)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{command}_report.json").write_text(text + "\n")
+    (out / "run_stamp.txt").write_text(datetime.datetime.now().isoformat() + "\n")
 
 
 _DISPATCH = {
@@ -402,8 +385,11 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        return _DISPATCH[args.command](_resolve(args.command, params),
-                                       ExperimentConfig(Path(args.out), args.seed))
+        p, out = _resolve(args.command, params), Path(args.out)
+        code, fields = _DISPATCH[args.command](p, out)
+        if fields is not None:
+            _write_report(out, args.command, p, fields, args.seed)
+        return code
     except (KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"wlab: input error: {exc}", file=sys.stderr)
         return EXIT_IO

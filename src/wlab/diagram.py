@@ -116,15 +116,20 @@ def qc_classify(d: CurvatureDiagram) -> QCReport:
     if np.any(neg) and np.any(pos):
         idx = int(np.argmax(pos))
         return QCReport("infeasible", worst_sample=(float(k1[idx]), float(k2[idx])))
-    if np.any(neg):
-        gamma = float(np.min(ratio[neg]))
-        return QCReport("negative_branch", gamma_star=gamma, mu=gamma_mu(gamma),
-                        wedge_slopes=gamma_to_wedge(gamma))
-    if np.any(pos):
-        gamma = float(np.max(ratio[pos]))
-        mu = math.sqrt((gamma - 1.0) / (gamma + 1.0))
-        return QCReport("positive_branch", gamma_star=gamma, mu=mu)
-    return QCReport("plane_like")
+    negative = bool(np.any(neg))
+    if not (negative or np.any(pos)):
+        return QCReport("plane_like")
+    # mu of each pair, free of the cancellation in gamma -+ 1 near |gamma| = 1;
+    # gamma* is the ratio of the pair whose mu is largest
+    idx = np.flatnonzero(neg if negative else pos)
+    sums, diffs = np.abs(k1[idx] + k2[idx]), np.abs(k1[idx] - k2[idx])
+    mus = sums / diffs if negative else diffs / sums
+    i = idx[int(np.argmax(mus))]
+    gamma, mu = float(ratio[i]), float(np.max(mus))
+    if negative:
+        wedge = tuple(sorted((float(k2[i] / k1[i]), float(k1[i] / k2[i]))))
+        return QCReport("negative_branch", gamma_star=gamma, mu=mu, wedge_slopes=wedge)
+    return QCReport("positive_branch", gamma_star=gamma, mu=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -353,28 +353,41 @@ def relation_from_json(obj: dict) -> RelationSpec:
 
 def linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
     """(alpha, beta, delta) of 2*alpha*H + beta*K = delta for CMC (1, 0, 2*h0),
-    linear relations and an f-form whose f is exactly the `f_function` of
-    one of them; None for the other forms."""
+    linear relations, and an f-form (g-form) whose f (g) is exactly the
+    `f_function` (`g_of`) of the linear relation its parameters name;
+    None for the other forms."""
     if isinstance(rel, CMC):
         return 1.0, 0.0, 2.0 * rel.h0
     if isinstance(rel, LinearWeingarten):
         return rel.alpha, rel.beta, rel.delta
-    f = rel.f if isinstance(rel, FForm) else None
-    if isinstance(f, ClosedForm) and f.name in ("affine", "mobius"):
-        p = f.params
-        try:
-            lin = (CMC(0.5 * float(p["intercept"])) if f.name == "affine"
-                   else LinearWeingarten(p["alpha"], p["beta"], p["delta"]))
-        except RelationError:       # alpha^2 + beta*delta <= 0
+    fn = rel.f if isinstance(rel, FForm) else rel.g
+    if not isinstance(fn, ClosedForm):
+        return None
+    p, form = fn.params, (type(rel), fn.name)
+    try:
+        if form == (FForm, "affine"):
+            lin = CMC(0.5 * float(p["intercept"]))
+        elif form == (FForm, "mobius"):
+            lin = LinearWeingarten(p["alpha"], p["beta"], p["delta"])
+        elif form == (GForm, "constant"):
+            lin = CMC(float(p["value"]))
+        elif form == (GForm, "sqrt_offset") and abs(float(p["scale"])) == 1.0:
+            # c*sqrt(t + e) + d is g_of(-c*d, c, c*(e - d^2)) when that rounds back to e
+            c, e, d = (float(p[k]) for k in ("scale", "offset", "shift"))
+            lin = LinearWeingarten(-c * d, c, c * (e - d * d))
+        else:
             return None
-        if f_function(lin).to_json() == f.to_json():
-            return linear_coefficients(lin)
-    return None
+    except RelationError:       # alpha^2 + beta*delta <= 0
+        return None
+    same = f_function(lin) if form[0] is FForm else g_of(lin)
+    return linear_coefficients(lin) if same.to_json() == fn.to_json() else None
 
 
 def g_of(rel: RelationSpec) -> ScalarFunction:
     """The g of H = g(H^2-K) for any relation; f-form relations that are not
     linear are converted by sampling (`f_to_g`)."""
+    if isinstance(rel, GForm):
+        return rel.g
     lin = linear_coefficients(rel)
     if lin is not None:
         al, be, de = lin
@@ -384,14 +397,13 @@ def g_of(rel: RelationSpec) -> ScalarFunction:
         # canonical fixed point: g(t) = sign(beta)*sqrt(t + disc/beta^2) - alpha/beta
         c, e = math.copysign(1.0, be), (al ** 2 + be * de) / be ** 2
         return ClosedForm("sqrt_offset", {"scale": c, "offset": e, "shift": -al / be}, HALF_LINE)
-    if isinstance(rel, GForm):
-        return rel.g
     return f_to_g(rel).g
 
 
 def f_function(rel: RelationSpec) -> Optional[ScalarFunction]:
-    """The f of k2 = f(k1), when it exists in closed form (GForm -> None); a
-    linear relation's is the half-line on its fixed point's side of the pole."""
+    """The f of k2 = f(k1), when it exists in closed form (None for a g-form
+    that is not linear); a linear relation's is the half-line on its fixed
+    point's side of the pole."""
     if isinstance(rel, FForm):
         return rel.f
     lin = linear_coefficients(rel)
@@ -538,20 +550,23 @@ def certify_ellipticity(rel: RelationSpec, t_grid: Optional[np.ndarray] = None, 
     For g-side relations this samples ``4 t g'(t)^2`` on ``t_grid`` (default:
     0 plus log-spaced points up to ``t_max``).  For f-side relations the same
     quantity is recovered from the slope ``-f'`` through
-    ``u = (1 - (-f'))/(1 + (-f'))`` and ``4 t g'^2 = u^2``.
+    ``u = (1 - (-f'))/(1 + (-f'))`` and ``4 t g'^2 = u^2`` on min(samples,
+    4000) x points, which ``grid.n`` counts; they read only t_max of a grid.
     """
-    if t_grid is None:
-        t_grid = default_t_grid(t_max, samples)
-    else:
+    if t_grid is not None:
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.size == 0:
             raise EllipticityError("empty certification grid")
         t_max = float(np.max(t_grid))
         if t_max <= 0.0:
             raise EllipticityError("certification grid needs T_max > 0")
-    grid_info = {"t_max": float(t_max), "n": int(np.asarray(t_grid).size)}
+    elif not (t_max > 0.0 and samples >= 2):    # what default_t_grid checks, for either form
+        raise EllipticityError(f"bad certification grid t_max={t_max} samples={samples}")
 
     if not isinstance(rel, FForm):
+        if t_grid is None:
+            t_grid = default_t_grid(t_max, samples)
+        grid_info = {"t_max": float(t_max), "n": int(t_grid.size)}
         g = g_of(rel)
         ts = _grid_in_domain(t_grid, g.domain)
         try:
@@ -570,6 +585,7 @@ def certify_ellipticity(rel: RelationSpec, t_grid: Optional[np.ndarray] = None, 
     else:
         f = rel.f
         xs = _fform_sample_grid(f, t_max, min(samples, 4000))
+        grid_info = {"t_max": float(t_max), "n": int(xs.size)}
         try:
             df = np.asarray(f.derivative(xs), dtype=float)
             fx = np.asarray(f(xs), dtype=float)

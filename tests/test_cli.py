@@ -49,6 +49,14 @@ def assert_exact_csv(path, columns):
 
 
 CMC_REL = {"kind": "cmc", "h0": 1.0}
+
+
+def cmc_as_g(h0):
+    """CMC(h0) written as the g-form H = h0."""
+    return {"kind": "g", "function": {"kind": "closed", "name": "constant",
+                                      "params": {"value": h0}, "domain": [0.0, "inf"]}}
+
+
 SOLVE_CFG = {
     "relation": {"kind": "cmc", "h0": 0.5},
     "domain": {"type": "disk", "center": [0.0, 0.0], "radius": 1.0},
@@ -96,6 +104,16 @@ class TestCertify:
         report = json.loads((outdir / "certify_report.json").read_text())
         assert report["report"]["is_elliptic"]
         assert report["report"]["uniform_constant_Lambda"] is None
+
+    def test_f_form_grid_counts_the_points_it_evaluates(self, tmp_path):
+        cfg = {"relation": relation_to_json(g_to_f(CI_G_FORM))}
+        n = []
+        for out, extra in (("default", ()), ("fewer", ("--set", "samples=500"))):
+            code, outdir = run(tmp_path, "certify", cfg, out=out, extra=extra)
+            assert code == 0
+            report = json.loads((outdir / "certify_report.json").read_text())
+            n.append(report["report"]["grid"]["n"])
+        assert n == [4000, 500]
 
     def test_malformed_config_exit_one(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -164,6 +182,14 @@ class TestRevolve:
         p = geometry.rotational_profile(relation_from_json(cfg["relation"]),
                                         tuple(cfg["seed_state"]), cfg["step"], cfg["s_max"])
         assert_exact_csv(outdir / "profile.csv", [p.s, p.r, p.z, p.theta, p.kappa_m, p.kappa_p])
+
+    def test_linear_g_form_profile_is_the_cmc_profile(self, tmp_path):
+        profiles = []
+        for out, rel in (("cmc", UNDULOID["relation"]), ("g", cmc_as_g(0.5))):
+            code, outdir = run(tmp_path, "revolve", dict(UNDULOID, relation=rel), out=out)
+            assert code == 0
+            profiles.append((outdir / "profile.csv").read_bytes())
+        assert profiles[0] == profiles[1]
 
 
 # the CI's g-form profile relation, sampled: g_to_f gives its Hermite f, and
@@ -273,6 +299,16 @@ class TestParallel:
         pairs = np.array(cfg["pairs"])
         assert_exact_csv(outdir / "parallel_pairs.csv",
                          [pairs, *geometry.parallel_curvatures(pairs, cfg["a"])])
+
+    def test_linear_g_form_conjugates_as_cmc(self, tmp_path):
+        conjugated = []
+        for out, rel in (("cmc", CMC_REL), ("g", cmc_as_g(1.0))):
+            code, outdir = run(tmp_path, "parallel", {"relation": rel, "a": 0.3}, out=out)
+            assert code == 0
+            report = json.loads((outdir / "parallel_report.json").read_text())
+            conjugated.append(report["conjugated"])
+        assert conjugated[0] == conjugated[1]
+        assert conjugated[1]["kind"] == "linear"
 
     def test_pole_exit_two(self, tmp_path):
         cfg = {"relation": CMC_REL, "a": 0.5, "pairs": [[2.0, 0.0]]}
@@ -826,6 +862,39 @@ WORKED_EXAMPLES = {
     "linop": LINOP_CFG,
     "blowup": dict(TINY_BLOWUP, synthetic_sigma={"spikes": [{"node": [4, 4], "amplitude": 3.0}]}),
 }
+# the files each worked example writes besides its report and run_stamp.txt
+COMMAND_FILES = {"solve": {"solution.csv", "solution_header.json", "solution.bin"},
+                 "revolve": {"profile.csv"}, "diagram": {"diagram.csv"},
+                 "parallel": {"parallel_pairs.csv"}}
+
+
+@pytest.mark.parametrize("command", sorted(WORKED_EXAMPLES))
+def test_one_writer_writes_each_report(tmp_path, monkeypatch, command):
+    """A command's report goes through `_write_report` once: one
+    `<command>_report.json` beside its own files and run_stamp.txt, holding
+    `check`, `seed`, and `relation` exactly when the command reads one."""
+    calls, write = [], wlab.cli._write_report
+    monkeypatch.setattr(wlab.cli, "_write_report",
+                        lambda *args: calls.append(args[1]) or write(*args))
+    config = WORKED_EXAMPLES[command]
+    code, outdir = run(tmp_path, command, config, extra=("--seed", "7"))
+    assert code == 0 and calls == [command]
+    assert sorted(f.name for f in outdir.iterdir()) == sorted(
+        {f"{command}_report.json", "run_stamp.txt", *COMMAND_FILES.get(command, ())})
+    report = json.loads((outdir / f"{command}_report.json").read_text())
+    assert isinstance(report["check"], str) and report["seed"] == 7
+    assert ("relation" in report) == ("relation" in _KEYS[command])
+    if "relation" in report:
+        assert report["relation"] == relation_to_json(relation_from_json(config["relation"]))
+
+
+def test_blowup_whose_solve_fails_writes_no_report(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(wlab.cli, "_write_report", lambda *args: calls.append(args[1]))
+    code, outdir = run(tmp_path, "blowup", {"patch": {"solve": OVERWIDE_DISK}, "radius": 0.5})
+    assert code == 3 and calls == [] and not outdir.exists()
+
+
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 0.5, "x", None, [], {}, [[0.5]],
               [1, 2, 3, 4, 5]]
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,47 @@ class TestClassification:
         out = qc_classify(CurvatureDiagram(pairs))
         assert out.classification == "negative_branch"
         assert out.gamma_star <= -1.0
+
+
+def exact_qc(samples):
+    """(gamma*, mu, wedge) of the float pairs in exact arithmetic: mu is
+    |k1 -+ k2| / |k1 +- k2| at its largest, and the wedge the sorted
+    k2/k1, k1/k2 of that pair on the negative branch (None on the positive)."""
+    pairs = [(Fraction(a), Fraction(b)) for a, b in samples]
+    negative = pairs[0][0] * pairs[0][1] < 0
+    mu, a, b = max((abs(a + b) / abs(a - b) if negative else abs(a - b) / abs(a + b), a, b)
+                   for a, b in pairs)
+    return (a * a + b * b) / (2 * a * b), mu, tuple(sorted((b / a, a / b))) if negative else None
+
+
+def assert_relative(value, exact, tol=1e-15):
+    assert abs(Fraction(value) - exact) <= tol * abs(exact), (value, float(exact))
+
+
+class TestNearTheLimit:
+    """mu and the wedge keep their digits where gamma* is within rounding of
+    +-1, next to an umbilic or a minimal pair."""
+
+    @pytest.mark.parametrize("pair", [(1.0, -(1.0 - 1e-7)), (1.0, -(1.0 - 1e-9)),
+                                      (1.0, 1.0 - 1e-9)],
+                             ids=["minimal_1e-7", "minimal_1e-9", "umbilic_1e-9"])
+    def test_pair(self, pair):
+        rep = qc_classify(CurvatureDiagram(np.array([pair])))
+        gamma, mu, wedge = exact_qc([pair])
+        assert rep.classification == ("negative_branch" if wedge else "positive_branch")
+        assert_relative(rep.gamma_star, gamma)
+        assert_relative(rep.mu, mu)
+        if wedge:
+            for got, want in zip(rep.wedge_slopes, wedge):
+                assert_relative(got, want)
+
+    def test_icosphere(self):
+        d = mesh_diagram(make_icosphere(1.3, 4))
+        rep = qc_classify(d)
+        gamma, mu, _ = exact_qc(d.samples.tolist())
+        assert rep.classification == "positive_branch"
+        assert_relative(rep.gamma_star, gamma)
+        assert_relative(rep.mu, mu)
 
 
 class TestGammaMu:

@@ -11,7 +11,8 @@ from wlab.errors import DomainError, EllipticityError, RelationError
 from wlab.relation import (CMC, DOMAIN_TOL, ClosedForm, FForm, FULL_LINE, GForm, HALF_LINE,
                            Interval, LinearWeingarten, SampledHermite, certify_ellipticity,
                            default_t_grid, f_function, f_to_g, g_of, g_to_f,
-                           relation_from_json, relation_to_json, umbilical_constant)
+                           linear_coefficients, relation_from_json, relation_to_json,
+                           umbilical_constant)
 
 
 def sqrt_rel(scale=1.0, offset=1.0, shift=0.0):
@@ -163,6 +164,39 @@ class TestConversions:
         bad = FForm(ClosedForm("affine", {"intercept": 1.0, "slope": -0.5}, FULL_LINE))
         with pytest.raises(RelationError):
             f_to_g(bad)
+
+
+# triples whose g_of reads back to a g of the same bits
+LINEAR_G_TRIPLES = [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, 1.0), (1.0, 0.5, 1.0),
+                    (1.0, -0.5, 1.0), (0.7, 1.3, 0.4), (0.0, 1.0, 1.0)]
+
+
+class TestLinearGForms:
+    """A g-form whose g is exactly a linear relation's g_of is linear."""
+
+    @pytest.mark.parametrize("triple", LINEAR_G_TRIPLES, ids=str)
+    def test_sqrt_offset_reads_back(self, triple):
+        g = g_of(LinearWeingarten(*triple))
+        rel = relation_from_json(relation_to_json(GForm(g)))
+        lin = linear_coefficients(rel)
+        assert lin is not None and g_of(LinearWeingarten(*lin)).to_json() == g.to_json()
+        # the g-form keeps its own g, and gets the linear relation's f
+        assert g_of(rel) is rel.g
+        assert f_function(rel).to_json() == f_function(LinearWeingarten(*lin)).to_json()
+
+    @pytest.mark.parametrize("value", [1.0, -0.3, 0.0])
+    def test_constant_is_cmc(self, value):
+        rel = GForm(ClosedForm("constant", {"value": value}))
+        assert linear_coefficients(rel) == linear_coefficients(CMC(value))
+        assert f_function(rel).to_json() == f_function(CMC(value)).to_json()
+
+    @pytest.mark.parametrize("rel", [
+        sqrt_rel(scale=0.45, offset=0.8, shift=0.05),
+        GForm(ClosedForm("constant", {"value": 1.0}, Interval(0.0, 4.0))),
+        GForm(ClosedForm("affine", {"intercept": 1.0, "slope": 0.0})),
+    ], ids=["scale_0.45", "short_domain", "affine_g"])
+    def test_other_gs_stay_non_linear(self, rel):
+        assert linear_coefficients(rel) is None and f_function(rel) is None
 
 
 class TestUmbilical:
