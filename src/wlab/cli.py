@@ -18,6 +18,7 @@ Exit codes: 0 ok, 1 I/O or parse error, 2 certification/validity failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -30,8 +31,8 @@ import numpy as np
 from . import diagram as diagram_mod
 from . import geometry, grid, linop, solver
 from .errors import WlabError
-from .relation import (DEFAULT_SAMPLES, DEFAULT_T_MAX, RelationSpec, certify_ellipticity,
-                       relation_from_json, relation_to_json)
+from .relation import (DEFAULT_SAMPLES, DEFAULT_T_MAX, Interval, RelationSpec,
+                       certify_ellipticity, relation_from_json, relation_to_json)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -205,7 +206,7 @@ def _cmd_certify(p: dict, out: Path) -> tuple:
     report = certify_ellipticity(p["relation"], t_max=p["t_max"], samples=p["samples"])
     return (EXIT_OK if report.is_elliptic else EXIT_CERTIFICATION), {
         "check": "ellipticity_certification",
-        "report": report.to_json(),
+        "report": report,
     }
 
 
@@ -219,9 +220,12 @@ def _cmd_solve(p: dict, out: Path) -> tuple:
     outcome = _solve(p)
     out.mkdir(parents=True, exist_ok=True)
     outcome.final_patch.save(out / "solution.csv", out / "solution_header.json")
+    r = outcome.residual_sup
     fields = {
         "check": "dirichlet_solve",
-        "outcome": outcome.to_json(),
+        # the patch stays out, and a NaN residual (domain_violation) is null
+        "outcome": {"status": outcome.status, "iterations": outcome.iterations,
+                    "history": outcome.history, "residual_sup": None if math.isnan(r) else r},
         "interior_nodes": int(outcome.final_patch.interior_mask().sum()),
     }
     if p["benchmark_center_value"] is not None and outcome.status == "converged":
@@ -266,7 +270,7 @@ def _cmd_diagram(p: dict, out: Path) -> tuple:
         "source": diag.source,
         "sample_count": len(diag),
         "notes": diag.notes,
-        "qc": report.to_json(),
+        "qc": report,
     }
 
 
@@ -289,7 +293,7 @@ def _cmd_linop(p: dict, out: Path) -> tuple:
     op = linop.cylinder_operator(p["relation"], p["r0"])
     return EXIT_OK, {
         "check": "cylinder_linearized_operator",
-        "operator": op.to_json(),
+        "operator": op,
         "threshold": linop.perturbation_threshold(op, p["L"], p["r"]),
         "box": [p["L"], p["r"]],
         "critical_square_half_size": 0.5 * math.pi * math.sqrt((op.A + op.B) / op.C),
@@ -315,10 +319,20 @@ def _cmd_blowup(p: dict, out: Path) -> tuple:
     sel = solver.blowup_select(patch, center, p["radius"], sigma_field=sigma)
     return EXIT_OK, {
         "check": "blowup_maximizer_selection",
-        "selection": sel.to_json(),
+        "selection": sel,
         "radius": p["radius"],
         "synthetic_sigma": synth is not None,
     }
+
+
+def _encode(obj):
+    """A record in a report: an interval as its two ends, any other dataclass
+    as the object of its fields (json encodes those in turn); else TypeError."""
+    if isinstance(obj, Interval):
+        return obj.to_json()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"a report cannot hold {type(obj).__name__} {obj!r}")
 
 
 def _write_report(out: Path, command: str, p: dict, fields: dict, seed: int):
@@ -328,7 +342,8 @@ def _write_report(out: Path, command: str, p: dict, fields: dict, seed: int):
     if "relation" in p:
         fields = {**fields, "relation": relation_to_json(p["relation"])}
     # a non-finite number raises ValueError here, before any file opens
-    text = json.dumps({**fields, "seed": seed}, sort_keys=True, indent=2, allow_nan=False)
+    text = json.dumps({**fields, "seed": seed}, sort_keys=True, indent=2, allow_nan=False,
+                      default=_encode)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{command}_report.json").write_text(text + "\n")
     (out / "run_stamp.txt").write_text(datetime.datetime.now().isoformat() + "\n")

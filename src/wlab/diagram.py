@@ -81,12 +81,6 @@ class QCReport:
     wedge_slopes: Optional[tuple] = None
     worst_sample: Optional[tuple] = None     # offending pair when infeasible
 
-    def to_json(self) -> dict:
-        return {"classification": self.classification, "gamma_star": self.gamma_star,
-                "mu": self.mu,
-                "wedge_slopes": list(self.wedge_slopes) if self.wedge_slopes else None,
-                "worst_sample": list(self.worst_sample) if self.worst_sample else None}
-
 
 def qc_classify(d: CurvatureDiagram) -> QCReport:
     """Tightest single-constant classification of the inequality

@@ -73,7 +73,8 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
     similarity keeps the eigenvalues +-sqrt(alpha^2 + beta*delta), and with
     them the discriminant and the canonical fixed point, the one on +sqrt:
     the result's canonical branch holds F_a of the input's umbilic for
-    either sign of beta'.  Any other f is sampled and mapped by F_a.
+    either sign of beta'.  It is CMC when beta' is within rounding of the sum
+    that forms it, at every length scale.  Any other f is sampled and mapped by F_a.
     """
     if a == 0.0:
         return rel
@@ -82,7 +83,8 @@ def conjugate_relation(rel: RelationSpec, a: float) -> RelationSpec:
         al, be, de = lin
         al2 = al - a * de
         be2 = be + a * (al + al2)
-        if abs(be2) < 1e-14 * max(abs(al2), 1.0):
+        # strict: an overflowed beta' stays linear, and LinearWeingarten rejects it
+        if abs(be2) < 1e-14 * (abs(be) + abs(a) * (abs(al) + abs(al2))):
             return CMC(de / (2.0 * al2))
         return LinearWeingarten(al2, be2, de)
 

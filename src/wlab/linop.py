@@ -173,9 +173,6 @@ class CylinderOperator:
     H0: float
     r0: float
 
-    def to_json(self) -> dict:
-        return {"A": self.A, "B": self.B, "C": self.C, "H0": self.H0, "r0": self.r0}
-
 
 def cylinder_operator(rel: RelationSpec, r0: float) -> CylinderOperator:
     """Constants of L_g on the cylinder of radius r0; rejects when the

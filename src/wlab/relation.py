@@ -297,13 +297,13 @@ class LinearWeingarten:
     def __post_init__(self):
         for name in ("alpha", "beta", "delta"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.discriminant > 0.0:
+        if not 0.0 < self.discriminant < math.inf:
             raise RelationError(f"linear Weingarten coefficients ({self.alpha}, {self.beta}, "
-                                f"{self.delta}) violate alpha^2 + beta*delta > 0")
+                                f"{self.delta}) violate finite alpha^2 + beta*delta > 0")
 
     @property
     def discriminant(self) -> float:
-        return self.alpha ** 2 + self.beta * self.delta
+        return self.alpha * self.alpha + self.beta * self.delta
 
 
 @dataclass(frozen=True)
@@ -353,9 +353,9 @@ def relation_from_json(obj: dict) -> RelationSpec:
 
 def linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
     """(alpha, beta, delta) of 2*alpha*H + beta*K = delta for CMC (1, 0, 2*h0),
-    linear relations, and an f-form (g-form) whose f (g) is exactly the
-    `f_function` (`g_of`) of the linear relation its parameters name;
-    None for the other forms."""
+    linear relations, an f-form (constant g-form) whose f (g) is exactly the
+    `f_function` (`g_of`) of the linear relation its parameters name, and a
+    g-form c*sqrt(t + e) + d, c = +-1, on [0, inf) as (-c*d, c, c*(e - d^2)); None otherwise."""
     if isinstance(rel, CMC):
         return 1.0, 0.0, 2.0 * rel.h0
     if isinstance(rel, LinearWeingarten):
@@ -372,9 +372,9 @@ def linear_coefficients(rel: RelationSpec) -> Optional[tuple]:
         elif form == (GForm, "constant"):
             lin = CMC(float(p["value"]))
         elif form == (GForm, "sqrt_offset") and abs(float(p["scale"])) == 1.0:
-            # c*sqrt(t + e) + d is g_of(-c*d, c, c*(e - d^2)) when that rounds back to e
             c, e, d = (float(p[k]) for k in ("scale", "offset", "shift"))
             lin = LinearWeingarten(-c * d, c, c * (e - d * d))
+            return linear_coefficients(lin) if fn.domain == HALF_LINE else None
         else:
             return None
     except RelationError:       # alpha^2 + beta*delta <= 0
@@ -395,7 +395,7 @@ def g_of(rel: RelationSpec) -> ScalarFunction:
             return ClosedForm("constant", {"value": de / (2.0 * al)}, HALF_LINE)
         # solve beta*H^2 + 2*alpha*H - (delta + beta*t) = 0 for H, branch through the
         # canonical fixed point: g(t) = sign(beta)*sqrt(t + disc/beta^2) - alpha/beta
-        c, e = math.copysign(1.0, be), (al ** 2 + be * de) / be ** 2
+        c, e = math.copysign(1.0, be), (al * al + be * de) / (be * be)
         return ClosedForm("sqrt_offset", {"scale": c, "offset": e, "shift": -al / be}, HALF_LINE)
     return f_to_g(rel).g
 
@@ -474,20 +474,6 @@ class EllipticityReport:
     bounded_branch: str            # t_plus_g_bounded | t_minus_g_bounded | neither
     orientation_flipped: bool = False
     grid: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "is_elliptic": self.is_elliptic,
-            "sup_4tgp2": self.sup_4tgp2,
-            "uniform_constant_Lambda": self.uniform_constant_Lambda,
-            "f_slope_bounds": list(self.f_slope_bounds) if self.f_slope_bounds else None,
-            "umbilical_alpha": self.umbilical_alpha,
-            "minimal_type": self.minimal_type,
-            "If_domain": self.If_domain.to_json(),
-            "bounded_branch": self.bounded_branch,
-            "orientation_flipped": self.orientation_flipped,
-            "grid": self.grid,
-        }
 
 
 def _slope_bounds_from_sup(sup: float) -> tuple:

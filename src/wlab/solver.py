@@ -103,11 +103,6 @@ class SolveOutcome:
     # (forcing; a fresh factorization solves to BACKWARD_ERROR_LIMIT anyway)
     history: list = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        residual = None if math.isnan(self.residual_sup) else self.residual_sup
-        return {"status": self.status, "residual_sup": residual,
-                "iterations": self.iterations, "history": self.history}
-
 
 def nested_dissection(iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
     """Elimination order of the grid nodes (iy[k], ix[k]) by geometric nested
@@ -493,10 +488,6 @@ class BlowupSelection:
     lambda_n: float     # |sigma| at q_n
     r_n: float          # intrinsic distance of q_n to the disk boundary
     h_max: float
-
-    def to_json(self) -> dict:
-        return {"q_n": list(self.q_n), "lambda_n": self.lambda_n,
-                "r_n": self.r_n, "h_max": self.h_max}
 
 
 def blowup_select(patch: GraphPatch, center: tuple, radius: float,

@@ -1,5 +1,6 @@
 """Shared fixtures: analytic test surfaces, mesh builders, stencil helpers."""
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,13 @@ from wlab.grid import GraphPatch
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def report_json(payload):
+    """`payload`, result records and all, as a report holds it after its JSON
+    round trip through the CLI's report encoder."""
+    from wlab.cli import _encode
+    return json.loads(json.dumps(payload, default=_encode))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlab
-from conftest import make_flat_mesh, make_icosphere, write_obj
+from conftest import make_flat_mesh, make_icosphere, report_json, write_obj
 from wlab import diagram, geometry
 from wlab.cli import EXIT_IO, _KEYS, _resolve, _solve, main
 from wlab.grid import GraphPatch
@@ -209,11 +209,6 @@ def read_report(outdir, name, rel) -> dict:
     return report
 
 
-def as_written(payload):
-    """`payload` as a report holds it after its JSON round trip."""
-    return json.loads(json.dumps(payload))
-
-
 class TestSampledRelations:
     """A sampled Hermite relation runs through certify, solve and revolve
     as it does in-process."""
@@ -223,7 +218,7 @@ class TestSampledRelations:
         code, outdir = run(tmp_path, "certify", {"relation": relation_to_json(rel)})
         assert code == 0
         report = read_report(outdir, "certify_report.json", rel)
-        assert report["report"] == as_written(certify_ellipticity(rel).to_json())
+        assert report["report"] == report_json(certify_ellipticity(rel))
 
     def test_solve(self, tmp_path, sampled_relation):
         rel = sampled_relation
@@ -232,7 +227,9 @@ class TestSampledRelations:
                                                "domain": domain, "h": 1.0 / 32.0})
         assert code == 0
         out = newton_solve(rel, GraphPatch.disk((0.0, 0.0), 0.5, 1.0 / 32.0))
-        assert read_report(outdir, "solve_report.json", rel)["outcome"] == as_written(out.to_json())
+        assert read_report(outdir, "solve_report.json", rel)["outcome"] == report_json({
+            "status": out.status, "iterations": out.iterations, "history": out.history,
+            "residual_sup": out.residual_sup})
         patch = out.final_patch
         X, Y = patch.xy()
         assert_exact_csv(outdir / "solution.csv",
@@ -506,7 +503,7 @@ def same_selection_as_in_process(outdir):
                        tol_res=RELOAD_SOLVE["tol_res"], max_iter=RELOAD_SOLVE["max_iter"])
     sel = blowup_select(out.final_patch, tuple(RELOAD_BLOWUP["center"]), RELOAD_BLOWUP["radius"])
     report = json.loads((outdir / "blowup_report.json").read_text())
-    assert report["selection"] == sel.to_json()
+    assert report["selection"] == report_json(sel)
 
 
 def reports_divergence(outdir):
@@ -587,6 +584,14 @@ def writes_no_linop_report(outdir):
 
 def writes_no_solve_report(outdir):
     assert not (outdir / "solve_report.json").exists()
+
+
+def writes_no_parallel_report(outdir):
+    assert not (outdir / "parallel_report.json").exists()
+
+
+def reports_non_elliptic(outdir):
+    assert json.loads((outdir / "certify_report.json").read_text())["report"]["is_elliptic"] is False
 
 
 def reports_domain_violation(outdir):
@@ -709,6 +714,23 @@ EXIT_CODES = {
             "scale": 4.0, "offset": 0.0, "shift": -1.5}))), 2, writes_no_linop_report),
     **{name: (command, lambda tmp, base=base, extra=extra: dict(base, **extra), 1, check)
        for name, (command, base, extra, check) in CONFIG_GAPS.items()},
+    "non_affine_boundary": ("solve", lambda tmp: dict(SOLVE_CFG, boundary={"kind": "quadratic"}),
+                            1, writes_no_solve_report),
+    "non_object_spikes": ("blowup", lambda tmp: dict(TINY_BLOWUP, synthetic_sigma={
+        "spikes": [[4, 4]]}), 1, writes_no_blowup),
+    # a squared coefficient past about 1.3e154 overflows: the triple is rejected
+    # in one line, not with an OverflowError traceback
+    "overflowing_alpha_squared": ("certify", lambda tmp: {"relation": {
+        "kind": "linear", "alpha": 1e200, "beta": 1.0, "delta": 1.0}}, 2,
+        writes_no_certify_report),
+    # (beta^2 overflows, so g's offset 2/beta^2 underflows to 0 and 4t g'^2 = 1)
+    "overflowing_beta_squared": ("certify", lambda tmp: {"relation": {
+        "kind": "linear", "alpha": 1.0, "beta": 1e200, "delta": 1e-200}}, 2,
+        reports_non_elliptic),
+    "overflowing_conjugate_of_large_h0": ("parallel", lambda tmp: {
+        "relation": {"kind": "cmc", "h0": 1e300}, "a": 0.5}, 2, writes_no_parallel_report),
+    "overflowing_conjugate_at_large_offset": ("parallel", lambda tmp: dict(PARALLEL_CFG, a=1e300),
+                                              2, writes_no_parallel_report),
     # 1e309 parses as inf
     "overflowing_boundary": ("solve", lambda tmp: json.dumps(SOLVE_CFG)[:-1]
                              + ', "boundary": 1e309}', 1, writes_no_solve_report),
@@ -741,6 +763,32 @@ class TestConfigHandling:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"relation": CMC_REL}))
         assert main(["certify", "--config", str(cfg), "--set", "oops"]) == 1
+
+    def test_override_through_a_non_object_exit_one(self, tmp_path, capsys):
+        code, outdir = run(tmp_path, "certify", {"relation": CMC_REL, "t_max": 5.0},
+                           extra=("--set", "t_max.x=1"))
+        assert code == 1 and not outdir.exists()
+        assert "'t_max.x' crosses a non-object value" in capsys.readouterr().err
+
+    def test_missing_key_named(self, tmp_path, capsys):
+        code, outdir = run(tmp_path, "solve", {k: v for k, v in SOLVE_CFG.items() if k != "h"})
+        assert code == 1 and not outdir.exists()
+        assert capsys.readouterr().err == "wlab: invalid parameter: 'h' is missing\n"
+
+    def test_relation_from_a_file(self, tmp_path):
+        path = tmp_path / "cmc1.json"
+        path.write_text(json.dumps(CMC_REL))
+        code, inline = run(tmp_path, "certify", {"relation": CMC_REL}, out="inline")
+        assert code == 0
+        # a path is no JSON, so --set takes it as a bare word
+        code, from_file = run(tmp_path, "certify", {"relation": {"kind": "cmc", "h0": 5.0}},
+                              out="file", extra=("--set", f"relation={path}"))
+        assert code == 0
+        assert (from_file / "certify_report.json").read_bytes() == (
+            inline / "certify_report.json").read_bytes()
+        code, missing = run(tmp_path, "certify", {"relation": str(tmp_path / "absent.json")},
+                            out="missing")
+        assert code == 1 and not missing.exists()
 
     def test_negative_tolerance_rejected(self, tmp_path):
         code, _ = run(tmp_path, "solve", dict(SOLVE_CFG, tol_res=-1.0))

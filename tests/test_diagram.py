@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_cylinder_mesh, make_flat_mesh, make_icosphere, shape_operator_pairs,
-                      write_obj)
+from conftest import (make_cylinder_mesh, make_flat_mesh, make_icosphere, report_json,
+                      shape_operator_pairs, write_obj)
 from wlab import diagram
 from wlab.diagram import (FIT_BLOCK, FIT_COND_LIMIT, CurvatureDiagram, QCReport, TriMesh,
                           _vertex_normals, gamma_mu, gamma_to_wedge, load_obj, mesh_diagram,
@@ -643,6 +643,6 @@ class TestBatchedFits:
 
 def test_report_json():
     rep = QCReport("negative_branch", -1.5, 0.3, (-2.0, -0.5))
-    blob = rep.to_json()
+    blob = report_json(rep)
     assert blob["classification"] == "negative_branch"
     assert blob["wedge_slopes"] == [-2.0, -0.5]

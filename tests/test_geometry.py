@@ -208,6 +208,21 @@ class TestConjugation:
                 checked += 1
         assert checked >= 790 and flipped >= 50
 
+    @pytest.mark.parametrize("lam", [1e4, 1.0, 1e-8, 1e-14, 1e-15, 1e-16, 1e-100])
+    def test_cmc_conjugate_is_free_of_the_length_scale(self, lam):
+        # CMC(1) at a = 0.3 is LinearWeingarten(0.4, 0.42, 2); at length
+        # scale lam, beta' scales by lam and delta' by 1/lam, and the way
+        # back by -0.3*lam returns CMC(1/lam)
+        conj = conjugate_relation(CMC(1.0 / lam), 0.3 * lam)
+        assert isinstance(conj, LinearWeingarten)
+        ref = conjugate_relation(CMC(1.0), 0.3)
+        assert (ref.alpha, ref.beta, ref.delta) == pytest.approx((0.4, 0.42, 2.0), rel=1e-15)
+        assert (conj.alpha, conj.beta / lam, conj.delta * lam) == pytest.approx(
+            (ref.alpha, ref.beta, ref.delta), rel=3e-16)
+        back = conjugate_relation(conj, -0.3 * lam)
+        assert isinstance(back, CMC)
+        assert back.h0 * lam == pytest.approx(1.0, rel=3e-16)
+
     @pytest.mark.parametrize("a", [0.3, -0.3])
     def test_cmc_f_form_conjugates_exactly(self, a):
         # the affine f of CMC(1) on the whole line: its pole 1/a is inside any
@@ -362,6 +377,29 @@ class TestRotationalProfiles:
         got = np.column_stack([prof.s, prof.r, prof.z, prof.theta, prof.kappa_m, prof.kappa_p])
         assert np.array_equal(got, rows)
 
+    # the stage whose radius first falls below AXIS_RADIUS: 2, 3 and 4 are
+    # the RK4 stages and 5 the step's end point
+    @pytest.mark.parametrize("stage, h0, seed, step", [
+        (2, 2.01, (0.2155, 0.0, 2.8), 0.091),
+        (3, 2.55, (0.1052, 0.0, 2.72), 0.108),
+        (4, 1.78, (0.0375, 0.0, 2.95), 0.019),
+        (5, 0.24, (0.1648, 0.0, 3.22), 0.111),
+    ])
+    def test_axis_contact_at_each_stage(self, stage, h0, seed, step, monkeypatch):
+        """Contact at a stage ends the profile at the last full step, after
+        one f call for each stage before it: at most 4n + 1 calls in all for
+        n steps begun."""
+        f, calls = f_function(CMC(h0)), []
+        monkeypatch.setattr(geometry, "f_function", lambda rel: lambda x: calls.append(x) or f(x))
+        prof = rotational_profile(CMC(h0), seed, step=step, s_max=1.0)
+        done = len(prof) - 1
+        assert prof.reason == "axis_contact" and done >= 1
+        assert len(calls) == 4 * done + stage - 1 <= 4 * (done + 1) + 1
+        rows, reason = rk4_reference(CMC(h0), seed, step, 1.0)
+        assert reason == "axis_contact"
+        assert np.array_equal(np.column_stack([prof.s, prof.r, prof.z, prof.theta, prof.kappa_m,
+                                               prof.kappa_p]), rows)
+
     def test_bad_seed_rejected(self):
         with pytest.raises(RelationError):
             rotational_profile(CMC(0.5), (0.0, 0.0, math.pi / 2), step=1e-3, s_max=1.0)
@@ -431,6 +469,17 @@ class TestPeriodDetection:
                                           s_max=1.1 * math.pi / h0)
                 T = detect_period(prof)
                 assert T is not None and abs(T - math.pi / h0) < 1e-3, (h0, neck, T)
+
+    def test_shallow_minimum_skipped(self):
+        # a phase distance that goes out to 1, back to a shallow minimum of
+        # 0.04 (below a quarter of the leave radius 0.25, but too far for a
+        # return at this step), out past 0.25 again, and back through 0
+        ints = np.concatenate([np.arange(0, 51), np.arange(49, 1, -1), np.arange(3, 26),
+                               np.arange(24, -3, -1)])
+        s = 0.01 * np.arange(ints.size)
+        zero = np.zeros(ints.size)
+        prof = ProfileCurve(s, 1.0 + 0.02 * ints, zero, zero + 1.0, zero, zero)
+        assert detect_period(prof) == s[np.flatnonzero(ints == 0)[-1]]
 
     def test_no_period_for_cylinder(self):
         prof = rotational_profile(CMC(0.5), (1.0, 0.0, math.pi / 2), step=1e-3, s_max=5.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import centered_bump, cylinder_patch, plane_patch, sphere_patch
+from conftest import centered_bump, cylinder_patch, plane_patch, report_json, sphere_patch
 from wlab.errors import EllipticityError, RelationError
 from wlab.jets import g_at
 from wlab.linop import (CylinderOperator, _curvatures_and_normal, _varied_curvatures,
@@ -168,7 +168,7 @@ class TestThreshold:
 
     def test_json(self):
         op = CylinderOperator(0.5, 0.5, 0.5, 0.5, 1.0)
-        assert op.to_json() == {"A": 0.5, "B": 0.5, "C": 0.5, "H0": 0.5, "r0": 1.0}
+        assert report_json(op) == {"A": 0.5, "B": 0.5, "C": 0.5, "H0": 0.5, "r0": 1.0}
 
 
 class TestApplyLg:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
+from conftest import report_json
 from wlab.errors import DomainError, EllipticityError, RelationError
 from wlab.relation import (CMC, DOMAIN_TOL, ClosedForm, FForm, FULL_LINE, GForm, HALF_LINE,
                            Interval, LinearWeingarten, SampledHermite, certify_ellipticity,
@@ -184,6 +185,20 @@ class TestLinearGForms:
         assert g_of(rel) is rel.g
         assert f_function(rel).to_json() == f_function(LinearWeingarten(*lin)).to_json()
 
+    def test_every_unit_scale_sqrt_offset_is_linear(self):
+        # 200 valid triples, each written as its own g_of: the offset need not
+        # survive (e - d^2) + d^2 bit for bit
+        rng, rels = np.random.default_rng(0), []
+        while len(rels) < 200:
+            try:
+                rels.append(GForm(g_of(LinearWeingarten(*rng.uniform(-2.0, 2.0, 3)))))
+            except RelationError:
+                pass
+        for rel in rels:
+            assert linear_coefficients(rel) is not None
+            f = f_function(rel)
+            assert isinstance(f, ClosedForm) and f.name == "mobius"
+
     @pytest.mark.parametrize("value", [1.0, -0.3, 0.0])
     def test_constant_is_cmc(self, value):
         rel = GForm(ClosedForm("constant", {"value": value}))
@@ -273,6 +288,17 @@ class TestBoundedBranchFamily:
         assert rep.bounded_branch == branch
         full_line = math.isinf(rep.If_domain.lo) and math.isinf(rep.If_domain.hi)
         assert (not full_line) == (branch != "neither")
+
+    @pytest.mark.parametrize("rel, hi", [
+        (FForm(f_function(LinearWeingarten(1.0, -1.0, -1.0))), 1.0),
+        (g_to_f(sqrt_rel(scale=-1.0, offset=1.0, shift=0.0)), 0.0),
+    ], ids=["closed", "sampled"])
+    def test_f_form_bounded_above(self, rel, hi):
+        # f runs from -inf up to the pole -alpha/beta = 1, or to the sampled
+        # f's value at its lowest breakpoint, near the g's shift 0
+        rep = certify_ellipticity(rel)
+        assert rep.bounded_branch == "t_plus_g_bounded"
+        assert rep.If_domain.lo == -math.inf and rep.If_domain.hi == pytest.approx(hi, abs=1e-2)
 
     @pytest.mark.parametrize("scale,shift", [(1.0, 0.2), (-1.0, 0.3)])
     def test_sampled_g_finds_the_closed_form_branch(self, scale, shift):
@@ -456,7 +482,7 @@ class TestSerialization:
         assert np.allclose(np.asarray(back.f(xs)), np.asarray(ff.f(xs)), atol=1e-15)
 
     def test_report_json_fields(self):
-        rep = certify_ellipticity(CMC(1.0)).to_json()
+        rep = report_json(certify_ellipticity(CMC(1.0)))
         for key in ("is_elliptic", "sup_4tgp2", "uniform_constant_Lambda", "f_slope_bounds",
                     "umbilical_alpha", "minimal_type", "If_domain", "bounded_branch"):
             assert key in rep

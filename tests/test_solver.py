@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from conftest import cap_exact
+from conftest import cap_exact, report_json
 from wlab.errors import DomainError, RelationError
 from wlab.relation import (CMC, ClosedForm, FForm, GForm, Interval, LinearWeingarten,
                            SampledHermite, certify_ellipticity, default_t_grid, f_function,
@@ -140,8 +140,7 @@ class TestNewton:
             assert rec["step_scale"] == 0.5 ** rec["backtracks"]
             assert isinstance(rec["krylov_iters"], int) and isinstance(rec["refactored"], bool)
             assert solver.BACKWARD_ERROR_LIMIT <= rec["forcing"] <= solver.FORCING_MAX
-        assert out.to_json()["history"] == out.history
-        assert json.loads(json.dumps(out.to_json()))["history"] == out.history
+        assert json.loads(json.dumps(out.history)) == out.history
 
     def test_cap_is_factored_once(self):
         out = solved_cap(1 / 32)
@@ -460,7 +459,7 @@ def brute_force_selection(patch, center, radius, sigma):
 
 def selection_or_error(select, patch, center, radius, sigma):
     try:
-        return select(patch, center, radius, sigma).to_json()
+        return select(patch, center, radius, sigma)
     except ValueError as exc:
         return str(exc)
 
@@ -1240,5 +1239,5 @@ def test_grid_step_must_be_finite_and_positive(h):
 
 def test_blowup_selection_json():
     sel = BlowupSelection((3, 4), 1.5, 2.0, 3.0)
-    blob = sel.to_json()
+    blob = report_json(sel)
     assert blob == {"q_n": [3, 4], "lambda_n": 1.5, "r_n": 2.0, "h_max": 3.0}
